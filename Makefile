@@ -4,7 +4,7 @@
 GO ?= go
 BENCH_JSON ?= BENCH_eval.json
 
-.PHONY: all build test bench fuzz gate lint docs crash chaos clean
+.PHONY: all build test bench fuzz gate lint docs crash chaos e2e clean
 
 all: lint build test
 
@@ -20,7 +20,6 @@ test:
 bench:
 	$(GO) test -run '^$$' -bench . -benchtime=1x ./...
 	$(GO) run ./cmd/blowfishbench -exp table1,fig3,fig10a,fig10b,fig10spectral,planreuse -json $(BENCH_JSON)
-	$(GO) run ./cmd/blowfishbench -exp serve -full -json BENCH_serve.json
 	$(GO) run ./cmd/blowfishbench -exp stream -full -json BENCH_stream.json
 	$(GO) run ./cmd/blowfishbench -exp shard -full -json BENCH_shard.json
 
@@ -48,6 +47,14 @@ crash:
 chaos:
 	$(GO) test -race -run 'TestChaos' ./internal/serve
 	$(GO) test -race ./client
+
+# End-to-end benchmark: a freshly built blowfishd over loopback, driven for
+# each gated workload at its checked-in length. The run's wire checks
+# (ε=0 answers equal W·x, ledgers equal the 200s received, one WAL record
+# per charge or update, ...) make it exit non-zero on "correct": false.
+e2e:
+	bash e2ebench/run.sh --workload static-mem --seed 1
+	bash e2ebench/run.sh --workload stream-durable --seed 1
 
 # Regression gate: regenerate the benchmark reports at the same scale as the
 # checked-in baselines, then compare the machine-portable ratio columns.

@@ -3,7 +3,9 @@ package main
 import (
 	"math"
 	"os"
+	"os/exec"
 	"path/filepath"
+	"regexp"
 	"strings"
 	"testing"
 )
@@ -95,7 +97,7 @@ func TestGateSkipsUnmatchedAndDegenerate(t *testing.T) {
 
 func TestLoadReportOnCheckedInBaselines(t *testing.T) {
 	for _, name := range []string{
-		"BENCH_sparse.json", "BENCH_fig10spectral.json", "BENCH_serve.json", "BENCH_stream.json",
+		"BENCH_sparse.json", "BENCH_fig10spectral.json", "BENCH_stream.json", "BENCH_shard.json",
 	} {
 		path := filepath.Join("..", "..", name)
 		if _, err := os.Stat(path); err != nil {
@@ -128,5 +130,39 @@ func TestLoadReportRejectsBadSchema(t *testing.T) {
 	}
 	if _, err := loadReport(filepath.Join(dir, "missing.json")); err == nil {
 		t.Fatal("missing file accepted")
+	}
+}
+
+// baselineRef matches a checked-in baseline that a gate reads: either
+// `git show HEAD:BENCH_x.json` or `-baseline BENCH_x.json`. Derived copies
+// such as BENCH_x.base.json do not match.
+var baselineRef = regexp.MustCompile(`(?:HEAD:|-baseline\s+)(BENCH_\w+\.json)\b`)
+
+// TestGateBaselinesAreTracked fails when CI or the Makefile gates against a
+// BENCH_*.json baseline that git does not track: such a gate can only fail.
+func TestGateBaselinesAreTracked(t *testing.T) {
+	root := filepath.Join("..", "..")
+	out, err := exec.Command("git", "-C", root, "ls-files", "BENCH_*.json").Output()
+	if err != nil {
+		t.Skipf("not a git checkout: %v", err)
+	}
+	tracked := map[string]bool{}
+	for _, name := range strings.Fields(string(out)) {
+		tracked[name] = true
+	}
+	for _, file := range []string{"Makefile", filepath.Join(".github", "workflows", "ci.yml")} {
+		raw, err := os.ReadFile(filepath.Join(root, file))
+		if err != nil {
+			t.Fatal(err)
+		}
+		refs := baselineRef.FindAllStringSubmatch(string(raw), -1)
+		if len(refs) == 0 {
+			t.Errorf("%s names no baseline; the pattern is stale", file)
+		}
+		for _, m := range refs {
+			if !tracked[m[1]] {
+				t.Errorf("%s gates against %s, which git ls-files does not list", file, m[1])
+			}
+		}
 	}
 }

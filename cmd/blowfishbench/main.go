@@ -19,9 +19,7 @@
 // answers, stream deltas, and tree compiles, equivalence asserted at 1e-9
 // in-loop — the -full grid tops out at 1024×1024), fig10spectral (the dense-vs-
 // Lanczos lower-bound engine comparison, with equivalence asserted wherever
-// the dense reference is feasible), serve (sustained throughput of the
-// blowfishd serving stack with and without cross-request batching, one row
-// per GOMAXPROCS setting), and figNx where N∈{8,9} and x∈{a..h}
+// the dense reference is feasible), and figNx where N∈{8,9} and x∈{a..h}
 // (fig8 and fig9 alone run all four workloads at both of that figure's ε
 // values). Results are deterministic for a fixed -seed at every -parallel
 // setting: experiment noise streams are pre-split in a fixed serial order
@@ -70,7 +68,7 @@ func main() {
 	}
 	ids := strings.Split(*exp, ",")
 	if *exp == "all" {
-		ids = []string{"table1", "fig3", "fig8", "fig9", "fig10a", "fig10b", "fig10spectral", "planreuse", "sparse", "stream", "shard", "serve"}
+		ids = []string{"table1", "fig3", "fig8", "fig9", "fig10a", "fig10b", "fig10spectral", "planreuse", "sparse", "stream", "shard"}
 	}
 	report := benchReport{
 		Schema:      "blowfishbench/v1",
@@ -219,15 +217,6 @@ func run(id string, opts eval.Options, full bool, out io.Writer) ([]*eval.Table,
 			if err := emit(t, nil); err != nil {
 				return nil, err
 			}
-		}
-	case id == "serve":
-		o := servebench.QuickServe()
-		if full {
-			o = servebench.DefaultServe()
-		}
-		o.Seed = opts.Seed
-		if err := emit(servebench.ServeExperiment(o)); err != nil {
-			return nil, err
 		}
 	case id == "fig8" || id == "fig9":
 		for _, eps := range panelEps[id] {

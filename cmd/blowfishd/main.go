@@ -2,9 +2,9 @@
 // Engine/Plan API. Each tenant gets an independent (ε, δ) budget ledger;
 // requests that would overdraw it are rejected with HTTP 429 before any
 // noise is drawn. Plans are compiled once per distinct (policy, workload,
-// options) triple and cached, and concurrent same-plan requests within the
-// batch window are coalesced into one AnswerBatch over the shared worker
-// pool.
+// options) triple and cached, and every request is answered on its own:
+// released, then charged, then replied to, so ε is spent only for a
+// response that is delivered or recorded.
 //
 // Usage:
 //
@@ -84,10 +84,8 @@ func main() {
 		streamCache = flag.Int("stream-cache", 64, "maintained per-(tenant, plan) streams kept per LRU")
 		tenantQPS   = flag.Float64("tenant-qps", 0, "per-tenant request rate limit in req/s (0 = unlimited)")
 		tenantBurst = flag.Int("tenant-burst", 0, "token-bucket burst behind -tenant-qps (0 = ceil(qps))")
-		batchWindow = flag.Duration("batch-window", 2*time.Millisecond, "coalescing window for same-plan requests (0 disables batching)")
-		batchMax    = flag.Int("batch-max", 64, "max releases per coalesced batch")
 		seed        = flag.Int64("seed", 0, "noise seed (0 = from the clock; set only for reproducible tests)")
-		parallel    = flag.Int("parallel", 0, "worker pool width for batched releases (0 = one per CPU)")
+		parallel    = flag.Int("parallel", 0, "width of the compile and kernel worker pool (0 = one per CPU)")
 		dataDir     = flag.String("data-dir", "", "directory for durable ledgers and stream snapshots (empty = in-memory only)")
 		snapEvery   = flag.Duration("snapshot-interval", 0, "how often to fold the WAL into a fresh snapshot (0 = 1m, negative = only at shutdown)")
 		maxInFlight = flag.Int("max-inflight", 0, "max concurrently executing answer/update requests; excess is queued or shed 503 \"overloaded\" (0 = unlimited)")
@@ -98,15 +96,18 @@ func main() {
 	)
 	flag.Parse()
 
+	budget := blowfish.Budget{Epsilon: *tenantEps, Delta: *tenantDelta}
+	if _, err := blowfish.NewAccountant(budget); err != nil {
+		fmt.Fprintf(os.Stderr, "blowfishd: -tenant-eps/-tenant-delta: %v\n", err)
+		os.Exit(2)
+	}
 	srv := serve.New(serve.Config{
-		TenantBudget:     blowfish.Budget{Epsilon: *tenantEps, Delta: *tenantDelta},
+		TenantBudget:     budget,
 		PlanCacheSize:    *planCache,
 		EngineCacheSize:  *engineCache,
 		StreamCacheSize:  *streamCache,
 		TenantQPS:        *tenantQPS,
 		TenantBurst:      *tenantBurst,
-		BatchWindow:      *batchWindow,
-		MaxBatch:         *batchMax,
 		MaxInFlight:      *maxInFlight,
 		MaxQueue:         *maxQueue,
 		IdemTTL:          *idemTTL,

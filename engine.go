@@ -285,9 +285,10 @@ func (pl *Plan) Domain() int { return pl.k }
 
 // Cost returns the (ε, δ) one release of this plan at budget eps charges an
 // accountant: eps itself, plus the plan's per-release δ when it was prepared
-// with the Gaussian estimator. Serving layers that admit requests before
-// coalescing them into batches charge Cost against the tenant's accountant
-// up front and then release through AnswerWith with a nil accountant.
+// with the Gaussian estimator. Serving layers that keep their own ledgers
+// release through AnswerWith with a nil accountant and charge Cost against
+// the tenant's accountant themselves, after the release is computed and
+// before it is delivered, so nothing is spent for an answer never sent.
 func (pl *Plan) Cost(eps float64) Budget { return Budget{Epsilon: eps, Delta: pl.delta} }
 
 // Answer releases the plan's workload over histogram x under

@@ -92,6 +92,16 @@ func TestGateQueueBound(t *testing.T) {
 	wg.Wait()
 }
 
+// atAdmit is a test hook running f once each answer request holds its gate
+// slot, before any computation.
+func atAdmit(f func()) func(context.Context, string) {
+	return func(_ context.Context, point string) {
+		if point == "admit" {
+			f()
+		}
+	}
+}
+
 // TestOverloadShedding drives 2× MaxInFlight concurrent requests into a
 // deliberately slow daemon: the admitted ones must finish with bounded
 // latency once unblocked, the shed ones must get 503 "overloaded" with a
@@ -106,7 +116,7 @@ func TestOverloadShedding(t *testing.T) {
 	}
 
 	unblock := make(chan struct{})
-	s.testSlow = func() { <-unblock }
+	s.testHook = atAdmit(func() { <-unblock })
 
 	const load = 2 * (maxInFlight + 1) // 2× capacity including the queue
 	var wg sync.WaitGroup
@@ -176,7 +186,7 @@ func TestQueuedDeadlineShed(t *testing.T) {
 		t.Fatalf("warmup: %d", rec.Code)
 	}
 	unblock := make(chan struct{})
-	s.testSlow = func() { <-unblock }
+	s.testHook = atAdmit(func() { <-unblock })
 
 	hold := make(chan struct{})
 	go func() {
@@ -218,7 +228,7 @@ func TestRequestDeadline(t *testing.T) {
 	if rec := postPath(t, s, "/v1/answer", warmBody); rec.Code != http.StatusOK {
 		t.Fatalf("warmup: %d", rec.Code)
 	}
-	s.testSlow = func() { time.Sleep(30 * time.Millisecond) }
+	s.testHook = atAdmit(func() { time.Sleep(30 * time.Millisecond) })
 	req := AnswerRequest{
 		Tenant:    "d",
 		Policy:    PolicySpec{Kind: "line", K: 4},
@@ -234,7 +244,7 @@ func TestRequestDeadline(t *testing.T) {
 	if err := json.Unmarshal(rec.Body.Bytes(), &er); err != nil || er.Code != "deadline_exceeded" {
 		t.Fatalf("code %q (err %v), want deadline_exceeded", er.Code, err)
 	}
-	s.testSlow = nil
+	s.testHook = nil
 	req.TimeoutMS = -5
 	if rec := postPath(t, s, "/v1/answer", mustJSON(req)); rec.Code != http.StatusBadRequest {
 		t.Fatalf("negative timeout: %d, want 400", rec.Code)

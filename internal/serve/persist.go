@@ -134,83 +134,65 @@ func (s *Server) appendWAL(rec walRecord) error {
 	return nil
 }
 
-// chargeTenant charges per against the tenant's ledger, write-ahead when
-// the daemon is durable: the post-charge state is appended and synced to
-// the WAL before the spend becomes observable (ChargeLogged holds the
-// ledger mutex across the commit). A disk failure flips the daemon
-// read-only and falls back to plain in-memory accounting so answers keep
+// charge commits one release of per to the tenant's ledger and fills
+// resp.Budget from the post-charge state. When the daemon is durable the
+// WAL record is appended and synced before the spend becomes observable
+// (ChargeLogged holds the ledger mutex across the commit). Without an
+// idempotency key the record is a plain "charge" and the caller encodes
+// resp after the locks are released, so large answers never serialize
+// behind walMu. With one, the canonical response body is encoded inside
+// the commit and lands in the same "idem_answer" record as the charge: a
+// crash loses either the whole request (the retry executes fresh, charged
+// once) or nothing (the retry replays these bytes, charged zero more). The
+// body is then recorded in the dedupe table and returned for the reply.
+// A disk failure flips the daemon read-only and falls back to plain
+// in-memory accounting (and an in-memory dedupe entry) so answers keep
 // serving — budget is still enforced, it just won't survive a crash, which
 // the operator learns from /readyz and the read_only stat.
-func (s *Server) chargeTenant(tenant string, acct *blowfish.Accountant, per blowfish.Budget) error {
-	if s.store == nil || s.readOnly.Load() {
-		return acct.Charge(per, 1)
-	}
-	s.walMu.Lock()
-	defer s.walMu.Unlock()
-	if s.readOnly.Load() {
-		return acct.Charge(per, 1)
-	}
-	err := acct.ChargeLogged(per, 1, func(st blowfish.AccountantState) error {
-		return s.appendWAL(walRecord{Op: "charge", Tenant: tenant, State: &st})
-	})
-	if errors.Is(err, errReadOnly) {
-		// The charge itself was admissible; only the disk failed. Degrade to
-		// in-memory accounting rather than refusing answers.
-		return acct.Charge(per, 1)
-	}
-	return err
-}
-
-// chargeRecorded is chargeTenant for idempotent requests: it prices the
-// charge, builds the canonical response body from the tentative post-charge
-// ledger, and commits charge + response as ONE WAL record under the ledger
-// mutex — extending ChargeLogged's ordering so the response bytes are
-// durable before the spend is observable. A crash therefore loses either
-// the whole request (the retry executes fresh, charged once) or nothing
-// (the retry replays the recorded bytes, charged zero more). On success the
-// in-memory dedupe table records the response and the exact bytes are
-// returned for the reply. A disk failure degrades like chargeTenant:
-// in-memory accounting plus an in-memory-only dedupe entry.
-func (s *Server) chargeRecorded(tenant, ikey string, acct *blowfish.Accountant, per blowfish.Budget, makeBody func(BudgetInfo) ([]byte, error)) ([]byte, error) {
+func (s *Server) charge(tenant, ikey string, acct *blowfish.Accountant, per blowfish.Budget, resp *AnswerResponse) ([]byte, error) {
 	var body []byte
-	build := func(st blowfish.AccountantState) error {
-		b, err := makeBody(budgetInfoFromState(st))
-		if err != nil {
+	fill := func(st blowfish.AccountantState) error {
+		resp.Budget = budgetInfo(st)
+		if ikey == "" {
+			return nil
+		}
+		var err error
+		if body, err = json.Marshal(resp); err != nil {
 			return invalid("unencodable response: %v", err)
 		}
-		body = b
 		return nil
 	}
-	commit := func(err error) ([]byte, error) {
-		if err != nil {
-			return nil, err
-		}
-		s.idem.finish(idemKey(tenant, ikey), http.StatusOK, body)
-		return body, nil
+	durable := s.store != nil && !s.readOnly.Load()
+	if durable {
+		s.walMu.Lock()
+		defer s.walMu.Unlock()
+		durable = !s.readOnly.Load()
 	}
-	if s.store == nil || s.readOnly.Load() {
-		return commit(acct.ChargeLogged(per, 1, build))
-	}
-	s.walMu.Lock()
-	defer s.walMu.Unlock()
-	if s.readOnly.Load() {
-		return commit(acct.ChargeLogged(per, 1, build))
-	}
-	err := acct.ChargeLogged(per, 1, func(st blowfish.AccountantState) error {
-		if err := build(st); err != nil {
-			return err
-		}
-		return s.appendWAL(walRecord{
-			Op: "idem_answer", Tenant: tenant, IdemKey: ikey, State: &st,
-			Status: http.StatusOK, Body: body, At: s.idem.now().UnixNano(),
+	var err error
+	if durable {
+		err = acct.ChargeLogged(per, 1, func(st blowfish.AccountantState) error {
+			if err := fill(st); err != nil {
+				return err
+			}
+			rec := walRecord{Op: "charge", Tenant: tenant, State: &st}
+			if ikey != "" {
+				rec = walRecord{Op: "idem_answer", Tenant: tenant, IdemKey: ikey, State: &st,
+					Status: http.StatusOK, Body: body, At: s.idem.now().UnixNano()}
+			}
+			return s.appendWAL(rec)
 		})
-	})
-	if errors.Is(err, errReadOnly) {
-		// The charge was admissible; only the disk failed. Keep serving with
-		// in-memory accounting and an in-memory dedupe entry.
-		return commit(acct.ChargeLogged(per, 1, build))
 	}
-	return commit(err)
+	if !durable || errors.Is(err, errReadOnly) {
+		// In memory, or only the disk failed: the charge itself is admissible.
+		err = acct.ChargeLogged(per, 1, fill)
+	}
+	if err != nil {
+		return nil, err
+	}
+	if ikey != "" {
+		s.idem.finish(idemKey(tenant, ikey), http.StatusOK, body)
+	}
+	return body, nil
 }
 
 // updateStream opens (if needed) and mutates the (tenant, plan) maintained
@@ -323,16 +305,31 @@ func (s *Server) updateStreamIdem(entry *planEntry, tenant, key, ikey, hash stri
 	return body, nil
 }
 
+// planFromKey re-prepares the plan a persisted plan key names. The second
+// result is the key recomputed from the parsed specs, which scopes the
+// plan's restored streams.
+func (s *Server) planFromKey(raw string) (*planEntry, string, error) {
+	var spec planKeySpec
+	if err := json.Unmarshal([]byte(raw), &spec); err != nil {
+		return nil, "", fmt.Errorf("serve: unparseable plan key %q: %w", raw, err)
+	}
+	key, _, err := planKey(spec.Policy, spec.Workload, spec.Options)
+	if err != nil {
+		return nil, "", err
+	}
+	entry, err := s.plan(key, spec.Policy, spec.Workload, spec.Options)
+	if err != nil {
+		return nil, "", fmt.Errorf("serve: re-preparing plan for recovery: %w", err)
+	}
+	return entry, key, nil
+}
+
 // restoreStream rebuilds one maintained stream from its snapshot image and
 // installs it in the cache, re-preparing the plan from the parseable key.
 func (s *Server) restoreStream(tenant, key string, st *blowfish.StreamState) error {
-	var spec planKeySpec
-	if err := json.Unmarshal([]byte(key), &spec); err != nil {
-		return fmt.Errorf("serve: unparseable plan key %q: %w", key, err)
-	}
-	entry, exactKey, err := s.plan(spec.Policy, spec.Workload, spec.Options)
+	entry, exactKey, err := s.planFromKey(key)
 	if err != nil {
-		return fmt.Errorf("serve: re-preparing plan for recovery: %w", err)
+		return err
 	}
 	stream, err := entry.eng.RestoreStream(entry.plan, st)
 	if err != nil {
@@ -358,13 +355,9 @@ func (s *Server) replayRecord(raw []byte) error {
 		// Absolute post-charge state: overwrite, idempotently.
 		return s.Accountant(rec.Tenant).RestoreState(*rec.State)
 	case "open":
-		var spec planKeySpec
-		if err := json.Unmarshal([]byte(rec.Key), &spec); err != nil {
-			return fmt.Errorf("serve: open record has unparseable plan key: %w", err)
-		}
-		entry, exactKey, err := s.plan(spec.Policy, spec.Workload, spec.Options)
+		entry, exactKey, err := s.planFromKey(rec.Key)
 		if err != nil {
-			return fmt.Errorf("serve: re-preparing plan for open replay: %w", err)
+			return err
 		}
 		base := rec.Base
 		if base == nil {
@@ -398,13 +391,9 @@ func (s *Server) replayRecord(raw []byte) error {
 		s.idem.install(idemKey(rec.Tenant, rec.IdemKey), idemEntry{Status: rec.Status, Body: rec.Body, At: rec.At})
 		return nil
 	case "idem_update":
-		var spec planKeySpec
-		if err := json.Unmarshal([]byte(rec.Key), &spec); err != nil {
-			return fmt.Errorf("serve: idem_update record has unparseable plan key: %w", err)
-		}
-		entry, exactKey, err := s.plan(spec.Policy, spec.Workload, spec.Options)
+		entry, exactKey, err := s.planFromKey(rec.Key)
 		if err != nil {
-			return fmt.Errorf("serve: re-preparing plan for idem_update replay: %w", err)
+			return err
 		}
 		skey := streamKey(rec.Tenant, exactKey)
 		if rec.Created {

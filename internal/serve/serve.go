@@ -4,19 +4,19 @@
 // The daemon keeps LRU caches for compiled engines, plans, and maintained
 // streams — keyed by (policy, workload, options) with single-flight builds,
 // so a strategy compiles once and serves every tenant — and one budget
-// Accountant per tenant. Admission control runs before any computation: a
-// release is charged against the tenant's (ε, δ) budget up front and
-// rejected with HTTP 429 (and the remaining budget in the response body)
-// when it would overspend; an optional per-tenant token bucket rate-limits
-// ahead of the ledger. Admitted requests for the same plan inside the batch
-// window are coalesced across tenants into single Plan.AnswerBatch calls
-// over the shared worker pool.
+// Accountant per tenant. Every release, static or stream, keyed or not,
+// takes one path: a cheap over-budget pre-check against the tenant's
+// (ε, δ) ledger (a request that would overspend is rejected with HTTP 429
+// and the remaining budget before any noise is drawn), the release itself,
+// a context check, one charge, and an unconditional reply — so ε is spent
+// only for a response that is delivered or recorded. An optional
+// per-tenant token bucket rate-limits ahead of the ledger.
 //
 // POST /v1/update feeds the streaming path: each (tenant, plan) pair owns a
 // maintained Stream whose deltas refresh the cached state without charging
 // any budget (ingesting data releases nothing); /v1/answer with
 // "stream": true then releases over the maintained state under the tenant's
-// ledger. /v1/budget exposes a ledger, /v1/stats the cache/batch/panic
+// ledger. /v1/budget exposes a ledger, /v1/stats the cache/panic
 // counters, /healthz liveness, /readyz readiness (503 while a durable
 // daemon replays its write-ahead log, and in read-only mode).
 //
@@ -76,13 +76,10 @@ type Config struct {
 	// TenantBurst is the token-bucket depth behind TenantQPS; <= 0 defaults
 	// to ceil(TenantQPS), at least 1.
 	TenantBurst int
-	// BatchWindow is how long the first pending request for a plan waits
-	// for others to coalesce with before its batch is released; 0 disables
-	// coalescing and answers every request individually (default 0).
+	// BatchWindow is ignored: the daemon no longer coalesces requests.
+	//
+	// Deprecated: kept only so existing callers still compile.
 	BatchWindow time.Duration
-	// MaxBatch releases a batch early once this many requests are pending
-	// (default 64).
-	MaxBatch int
 	// MaxInFlight caps concurrently executing /v1/answer and /v1/update
 	// requests. Excess requests wait in a bounded deadline-aware queue (see
 	// MaxQueue) or are shed with HTTP 503, code "overloaded", and a
@@ -105,7 +102,8 @@ type Config struct {
 	// wall clock. Fixed seeds make serving deterministic for tests.
 	Seed int64
 	// Parallelism is passed through to every Engine the daemon opens (the
-	// AnswerBatch fan-out width); <= 0 uses the process-wide shared pool.
+	// width of its compile and kernel pool); <= 0 uses the process-wide
+	// shared pool.
 	Parallelism int
 	// Logf, when non-nil, receives serving diagnostics (recovered panics
 	// with their stacks). cmd/blowfishd passes log.Printf.
@@ -141,9 +139,6 @@ func (c Config) withDefaults() Config {
 	if c.StreamCacheSize < 1 {
 		c.StreamCacheSize = 64
 	}
-	if c.MaxBatch < 1 {
-		c.MaxBatch = 64
-	}
 	if c.IdemTTL == 0 {
 		c.IdemTTL = 15 * time.Minute
 	}
@@ -168,9 +163,7 @@ type Stats struct {
 	RejectedRate    int64 `json:"rejected_rate"`
 	Errors          int64 `json:"errors"`
 	Panics          int64 `json:"panics"`
-	Batches         int64 `json:"batches"`
-	BatchedReleases int64 `json:"batched_releases"`
-	MaxBatch        int64 `json:"max_batch"`
+	Batches         int64 `json:"batches"` // always 0: requests are no longer coalesced
 	PlanCacheHits   int64 `json:"plan_cache_hits"`
 	PlanCacheMisses int64 `json:"plan_cache_misses"`
 	PlanCacheSize   int64 `json:"plan_cache_size"`
@@ -211,10 +204,12 @@ type Server struct {
 	gate    *gate        // nil when the in-flight cap is disabled
 	idem    *idemTable
 
-	// testSlow, when non-nil, runs inside every admitted answer request
-	// (after the gate, before any computation). Overload tests use it to
-	// hold slots; always nil in production.
-	testSlow func()
+	// testHook, when non-nil, runs with the request's context at named
+	// points of every admitted answer request: "admit" after the gate,
+	// "plan" after the plan lookup, "compute" as the release starts and
+	// "charge" just before the charge. Tests use it to hold gate slots and
+	// to cancel or expire requests mid-flight; always nil in production.
+	testHook func(ctx context.Context, point string)
 
 	tenantMu sync.Mutex
 	tenants  map[string]*blowfish.Accountant
@@ -240,33 +235,34 @@ type Server struct {
 	shedOverload atomic.Int64
 	shedExpired  atomic.Int64
 
-	answered        atomic.Int64
-	requests        atomic.Int64
-	updates         atomic.Int64
-	streamAnswers   atomic.Int64
-	rejectedBudget  atomic.Int64
-	rejectedRate    atomic.Int64
-	errorCount      atomic.Int64
-	panics          atomic.Int64
-	batches         atomic.Int64
-	batchedReleases atomic.Int64
-	maxBatch        atomic.Int64
-	snapshots       atomic.Int64
-	walRecords      atomic.Int64
-	walReplayed     atomic.Int64
+	answered       atomic.Int64
+	requests       atomic.Int64
+	updates        atomic.Int64
+	streamAnswers  atomic.Int64
+	rejectedBudget atomic.Int64
+	rejectedRate   atomic.Int64
+	errorCount     atomic.Int64
+	panics         atomic.Int64
+	snapshots      atomic.Int64
+	walRecords     atomic.Int64
+	walReplayed    atomic.Int64
 }
 
 // planEntry is one cached compiled plan plus the engine that prepared it
-// (needed to open streams against it) and its coalescing batcher (nil when
-// batching is disabled).
+// (needed to open streams against it).
 type planEntry struct {
-	plan    *blowfish.Plan
-	eng     *blowfish.Engine
-	batcher *batcher
+	plan *blowfish.Plan
+	eng  *blowfish.Engine
 }
 
-// New returns a Server for cfg.
+// New returns a Server for cfg. Like a Must constructor it panics when
+// cfg.TenantBudget is invalid (negative, NaN or +Inf): such a budget must
+// never fall back to unlimited ledgers. Callers taking the budget from user
+// input validate it with blowfish.NewAccountant first.
 func New(cfg Config) *Server {
+	if _, err := blowfish.NewAccountant(cfg.TenantBudget); err != nil {
+		panic(fmt.Sprintf("serve: invalid tenant budget: %v", err))
+	}
 	cfg = cfg.withDefaults()
 	s := &Server{
 		cfg:     cfg,
@@ -326,9 +322,6 @@ func (s *Server) Stats() Stats {
 		RejectedRate:    s.rejectedRate.Load(),
 		Errors:          s.errorCount.Load(),
 		Panics:          s.panics.Load(),
-		Batches:         s.batches.Load(),
-		BatchedReleases: s.batchedReleases.Load(),
-		MaxBatch:        s.maxBatch.Load(),
 		PlanCacheHits:   s.plans.hits.Load(),
 		PlanCacheMisses: s.plans.misses.Load(),
 		PlanCacheSize:   int64(s.plans.len()),
@@ -354,13 +347,7 @@ func (s *Server) Accountant(tenant string) *blowfish.Accountant {
 	if a, ok := s.tenants[tenant]; ok {
 		return a
 	}
-	a, err := blowfish.NewAccountant(s.cfg.TenantBudget)
-	if err != nil {
-		// The config budget is validated once at daemon startup via New's
-		// first tenant; an invalid one falls back to tracking-only so the
-		// daemon degrades rather than panics.
-		a, _ = blowfish.NewAccountant(blowfish.Budget{})
-	}
+	a, _ := blowfish.NewAccountant(s.cfg.TenantBudget) // New validated the budget
 	s.tenants[tenant] = a
 	return a
 }
@@ -525,7 +512,7 @@ type BudgetInfo struct {
 type AnswerResponse struct {
 	Algorithm string     `json:"algorithm"`
 	Answers   []float64  `json:"answers"`
-	Batched   int        `json:"batched"` // releases coalesced into the same AnswerBatch call
+	Batched   int        `json:"batched"` // always 1; kept for wire compatibility
 	PlanKey   string     `json:"plan_key"`
 	Budget    BudgetInfo `json:"budget"`
 }
@@ -535,21 +522,6 @@ type ErrorResponse struct {
 	Error  string      `json:"error"`
 	Code   string      `json:"code"`
 	Budget *BudgetInfo `json:"budget,omitempty"`
-}
-
-func budgetInfo(a *blowfish.Accountant) BudgetInfo {
-	spent := a.Spent()
-	info := BudgetInfo{
-		SpentEpsilon: spent.Epsilon,
-		SpentDelta:   spent.Delta,
-		Releases:     a.Releases(),
-	}
-	if rem, ok := a.Remaining(); ok {
-		info.Limited = true
-		info.RemainingEpsilon = &rem.Epsilon
-		info.RemainingDelta = &rem.Delta
-	}
-	return info
 }
 
 // statusFor maps the library's typed errors to HTTP statuses, one place so
@@ -725,13 +697,9 @@ func engineKey(ps PolicySpec) (string, error) {
 }
 
 // plan returns the cached compiled plan for (pol, wl, o), compiling (and
-// caching the policy's Engine) on first use. The second result is the exact
-// cache key, which also scopes the plan's per-tenant streams.
-func (s *Server) plan(pol PolicySpec, wl WorkloadSpec, o OptionsSpec) (*planEntry, string, error) {
-	key, _, err := planKey(pol, wl, o)
-	if err != nil {
-		return nil, "", err
-	}
+// caching the policy's Engine) on first use. key is planKey's exact cache
+// key for the same specs; callers compute it once per request.
+func (s *Server) plan(key string, pol PolicySpec, wl WorkloadSpec, o OptionsSpec) (*planEntry, error) {
 	entry, _, err := s.plans.getOrCreate(key, func() (*planEntry, error) {
 		ekey, err := engineKey(pol)
 		if err != nil {
@@ -759,57 +727,9 @@ func (s *Server) plan(pol PolicySpec, wl WorkloadSpec, o OptionsSpec) (*planEntr
 		if err != nil {
 			return nil, err
 		}
-		e := &planEntry{plan: pl, eng: eng}
-		if s.cfg.BatchWindow > 0 {
-			e.batcher = newBatcher(s.cfg.BatchWindow, s.cfg.MaxBatch, func(calls []*batchCall) {
-				s.runBatch(pl, calls)
-			})
-		}
-		return e, nil
+		return &planEntry{plan: pl, eng: eng}, nil
 	})
-	return entry, key, err
-}
-
-// runBatch releases one coalesced batch. Calls were charged at admission, so
-// the AnswerBatch runs with a nil accountant; they may carry different ε
-// (one AnswerBatch call answers at a single ε), so the batch splits into
-// per-ε groups first — concurrent serving traffic for one plan typically
-// shares its ε, making one group the common case.
-func (s *Server) runBatch(pl *blowfish.Plan, calls []*batchCall) {
-	s.batches.Add(1)
-	s.batchedReleases.Add(int64(len(calls)))
-	for old := s.maxBatch.Load(); int64(len(calls)) > old; old = s.maxBatch.Load() {
-		if s.maxBatch.CompareAndSwap(old, int64(len(calls))) {
-			break
-		}
-	}
-	groups := map[uint64][]*batchCall{}
-	var order []uint64
-	for _, c := range calls {
-		bits := math.Float64bits(c.eps)
-		if _, ok := groups[bits]; !ok {
-			order = append(order, bits)
-		}
-		groups[bits] = append(groups[bits], c)
-	}
-	for _, bits := range order {
-		group := groups[bits]
-		eps := math.Float64frombits(bits)
-		xs := make([][]float64, len(group))
-		for i, c := range group {
-			xs[i] = c.x
-		}
-		outs, err := pl.AnswerBatchWith(context.Background(), nil, xs, eps, s.split())
-		if err != nil {
-			for _, c := range group {
-				c.done <- batchResult{err: err}
-			}
-			continue
-		}
-		for i, c := range group {
-			c.done <- batchResult{answers: outs[i], batched: len(group)}
-		}
-	}
+	return entry, err
 }
 
 // --- handlers ---
@@ -829,7 +749,7 @@ func (s *Server) handleBudget(w http.ResponseWriter, r *http.Request) {
 	}
 	writeJSON(w, http.StatusOK, map[string]any{
 		"tenant": tenant,
-		"budget": budgetInfo(s.Accountant(tenant)),
+		"budget": budgetInfo(s.Accountant(tenant).ExportState()),
 	})
 }
 
@@ -889,82 +809,96 @@ func (s *Server) handleAnswer(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	defer release()
-	if s.testSlow != nil {
-		s.testSlow()
-	}
-	entry, _, err := s.plan(req.Policy, req.Workload, req.Options)
+	s.at(ctx, "admit")
+	entry, err := s.plan(key, req.Policy, req.Workload, req.Options)
 	if err != nil {
 		s.fail(w, err)
 		return
 	}
 	pl := entry.plan
-	if req.Stream {
-		s.answerStream(ctx, w, tenant, key, ikey, hash, &req, pl)
+	s.at(ctx, "plan")
+	// Validate the request fully, then pre-check the budget, before any
+	// computation: a rejected request draws no noise and spends nothing.
+	var st *blowfish.Stream
+	switch {
+	case req.Stream && req.X != nil:
+		s.fail(w, invalid(`a "stream": true request answers the maintained stream; x must be absent`))
 		return
-	}
-	// Validate the request fully before admission so a rejected request
-	// never spends budget.
-	if len(req.X) != pl.Domain() {
+	case req.Stream:
+		var ok bool
+		if st, ok = s.streams.get(streamKey(tenant, key)); !ok {
+			s.errorCount.Add(1)
+			writeError(w, http.StatusNotFound, "no_stream",
+				fmt.Sprintf("tenant %q has no stream for this plan; create one with POST /v1/update", tenant), nil)
+			return
+		}
+	case len(req.X) != pl.Domain():
 		s.fail(w, fmt.Errorf("serve: database size %d != policy domain %d: %w",
 			len(req.X), pl.Domain(), blowfish.ErrDomainMismatch))
 		return
 	}
 	acct := s.Accountant(tenant)
-	if ikey != "" {
-		// Exactly-once path: compute first (noise is drawn but nothing is
-		// released to the caller), then charge + record the canonical
-		// response as one durable WAL record under the ledger mutex, then
-		// reply with the recorded bytes. A crash loses either everything
-		// (retry executes fresh) or nothing (retry replays these bytes).
-		out, err := pl.AnswerWith(ctx, nil, req.X, req.Epsilon, s.split())
-		if err != nil {
-			s.fail(w, err)
-			return
-		}
-		body, err := s.chargeRecorded(tenant, ikey, acct, pl.Cost(req.Epsilon), func(info BudgetInfo) ([]byte, error) {
-			return json.Marshal(AnswerResponse{
-				Algorithm: pl.Algorithm(),
-				Answers:   out,
-				Batched:   1,
-				PlanKey:   hash,
-				Budget:    info,
-			})
-		})
-		if err != nil {
-			s.chargeFail(w, acct, err)
-			return
-		}
-		s.answered.Add(1)
-		writeRecorded(w, &idemEntry{Status: http.StatusOK, Body: body}, false)
-		return
-	}
-	// Admission control: charge the tenant's ledger before any computation
-	// (write-ahead when the daemon is durable).
-	if err := s.chargeTenant(tenant, acct, pl.Cost(req.Epsilon)); err != nil {
+	per := pl.Cost(req.Epsilon)
+	if err := affordable(acct, per); err != nil {
 		s.chargeFail(w, acct, err)
 		return
 	}
-	var res batchResult
-	if entry.batcher != nil {
-		res = entry.batcher.submit(ctx, req.X, req.Epsilon)
+	// Compute before charging: noise is drawn but nothing leaves yet. A
+	// caller that gave up by the end gets no answer, so it is not charged;
+	// once the charge commits, the reply is unconditional.
+	s.at(ctx, "compute")
+	var out []float64
+	if st != nil {
+		out, err = st.AnswerWith(ctx, nil, req.Epsilon, s.split())
 	} else {
-		out, err := pl.AnswerWith(ctx, nil, req.X, req.Epsilon, s.split())
-		res = batchResult{answers: out, batched: 1, err: err}
+		out, err = pl.AnswerWith(ctx, nil, req.X, req.Epsilon, s.split())
 	}
-	if res.err != nil {
-		s.errorCount.Add(1)
-		status, code := statusFor(res.err)
-		writeError(w, status, code, res.err.Error(), nil)
+	if err != nil {
+		s.fail(w, err)
+		return
+	}
+	s.at(ctx, "charge")
+	if err := ctx.Err(); err != nil {
+		s.fail(w, err)
+		return
+	}
+	resp := AnswerResponse{Algorithm: pl.Algorithm(), Answers: out, Batched: 1, PlanKey: hash}
+	body, err := s.charge(tenant, ikey, acct, per, &resp)
+	if err != nil {
+		s.chargeFail(w, acct, err)
 		return
 	}
 	s.answered.Add(1)
-	writeJSON(w, http.StatusOK, AnswerResponse{
-		Algorithm: pl.Algorithm(),
-		Answers:   res.answers,
-		Batched:   res.batched,
-		PlanKey:   hash,
-		Budget:    budgetInfo(acct),
-	})
+	if st != nil {
+		s.streamAnswers.Add(1)
+	}
+	if ikey != "" {
+		writeRecorded(w, &idemEntry{Status: http.StatusOK, Body: body}, false)
+		return
+	}
+	writeJSON(w, http.StatusOK, resp)
+}
+
+// at runs the test hook, if any, at the named point of an answer request.
+func (s *Server) at(ctx context.Context, point string) {
+	if s.testHook != nil {
+		s.testHook(ctx, point)
+	}
+}
+
+// errDryRun aborts the commit hook of affordable's probe charge.
+var errDryRun = errors.New("serve: dry run")
+
+// affordable is the cheap over-budget pre-check: it prices one release of
+// per against acct exactly as the real charge will, then aborts the commit,
+// so nothing is spent. A concurrent charge may still use up the budget
+// before this request's own charge, which then decides.
+func affordable(acct *blowfish.Accountant, per blowfish.Budget) error {
+	err := acct.ChargeLogged(per, 1, func(blowfish.AccountantState) error { return errDryRun })
+	if errors.Is(err, errDryRun) {
+		return nil
+	}
+	return err
 }
 
 // chargeFail reports a failed budget charge: exhaustion carries the
@@ -979,7 +913,7 @@ func (s *Server) chargeFail(w http.ResponseWriter, acct *blowfish.Accountant, er
 	} else {
 		s.errorCount.Add(1)
 	}
-	info := budgetInfo(acct)
+	info := budgetInfo(acct.ExportState())
 	writeError(w, status, code, err.Error(), &info)
 }
 
@@ -995,10 +929,10 @@ func writeRecorded(w http.ResponseWriter, ent *idemEntry, replay bool) {
 	_, _ = w.Write(ent.Body)
 }
 
-// budgetInfoFromState is budgetInfo over an exported ledger state — the
-// idempotent path builds the canonical response from the tentative
-// post-charge state inside the commit hook, before the spend is visible.
-func budgetInfoFromState(st blowfish.AccountantState) BudgetInfo {
+// budgetInfo reports an exported ledger state. The answer path builds it
+// from the tentative post-charge state inside the commit hook, before the
+// spend is visible.
+func budgetInfo(st blowfish.AccountantState) BudgetInfo {
 	info := BudgetInfo{
 		SpentEpsilon: st.Spent.Epsilon,
 		SpentDelta:   st.Spent.Delta,

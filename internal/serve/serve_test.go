@@ -9,7 +9,6 @@ import (
 	"net/http/httptest"
 	"sync"
 	"testing"
-	"time"
 
 	blowfish "github.com/privacylab/blowfish"
 )
@@ -116,8 +115,9 @@ func TestBudgetExhaustionReturns429(t *testing.T) {
 // TestConcurrentMultiTenantLoad is the serving acceptance test: 8 tenants,
 // each firing concurrent requests from several goroutines, with budgets
 // enforced independently per tenant at the admission boundary. Run under
-// -race this also exercises the charge race at the budget edge and the
-// cross-tenant batch coalescer.
+// -race this also exercises the charge race at the budget edge: every
+// request passes the pre-check while budget remains, computes, and only the
+// charge after compute decides who is admitted.
 func TestConcurrentMultiTenantLoad(t *testing.T) {
 	const (
 		tenants    = 8
@@ -128,12 +128,7 @@ func TestConcurrentMultiTenantLoad(t *testing.T) {
 		wantOK     = 4
 		goroutines = 4 // concurrent streams per tenant
 	)
-	s := New(Config{
-		Seed:         7,
-		TenantBudget: blowfish.Budget{Epsilon: budgetEps},
-		BatchWindow:  500 * time.Microsecond,
-		MaxBatch:     16,
-	})
+	s := New(Config{Seed: 7, TenantBudget: blowfish.Budget{Epsilon: budgetEps}})
 	x := make([]float64, k)
 	for i := range x {
 		x[i] = float64(i % 5)
@@ -194,48 +189,6 @@ func TestConcurrentMultiTenantLoad(t *testing.T) {
 	st := s.Stats()
 	if st.Answered != tenants*wantOK || st.RejectedBudget != tenants*(perTenant-wantOK) {
 		t.Errorf("stats %+v, want %d answered / %d rejected", st, tenants*wantOK, tenants*(perTenant-wantOK))
-	}
-}
-
-// TestBatchCoalescing holds a wide window open and checks that concurrent
-// same-plan requests ride one AnswerBatch call.
-func TestBatchCoalescing(t *testing.T) {
-	const n = 8
-	s := New(Config{Seed: 3, BatchWindow: 20 * time.Millisecond, MaxBatch: n})
-	x := make([]float64, 16)
-	body := answerBody(t, "alice", 16, 0.5, x)
-	// Warm the plan cache so the batch window, not compile time, dominates.
-	if code, _, _ := post(t, s, answerBody(t, "alice", 16, 0.5, x)); code != http.StatusOK {
-		t.Fatal("warmup failed")
-	}
-	var wg sync.WaitGroup
-	batched := make([]int, n)
-	for i := 0; i < n; i++ {
-		wg.Add(1)
-		go func(i int) {
-			defer wg.Done()
-			req := httptest.NewRequest("POST", "/v1/answer", bytes.NewReader(body))
-			rec := httptest.NewRecorder()
-			s.ServeHTTP(rec, req)
-			if rec.Code == http.StatusOK {
-				var res AnswerResponse
-				_ = json.Unmarshal(rec.Body.Bytes(), &res)
-				batched[i] = res.Batched
-			}
-		}(i)
-	}
-	wg.Wait()
-	max := 0
-	for _, b := range batched {
-		if b > max {
-			max = b
-		}
-	}
-	if max < 2 {
-		t.Fatalf("no coalescing observed: batched sizes %v (max_batch stat %d)", batched, s.Stats().MaxBatch)
-	}
-	if st := s.Stats(); st.Batches >= st.BatchedReleases {
-		t.Fatalf("stats %+v: batches should be fewer than batched releases", st)
 	}
 }
 

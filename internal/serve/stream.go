@@ -14,7 +14,6 @@ package serve
 // is charged when the stream is answered.
 
 import (
-	"context"
 	"encoding/json"
 	"fmt"
 	"net/http"
@@ -109,7 +108,7 @@ func (s *Server) handleUpdate(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	defer release()
-	entry, _, err := s.plan(req.Policy, req.Workload, req.Options)
+	entry, err := s.plan(key, req.Policy, req.Workload, req.Options)
 	if err != nil {
 		s.fail(w, err)
 		return
@@ -160,68 +159,6 @@ func (s *Server) handleUpdate(w http.ResponseWriter, r *http.Request) {
 		Applied:    len(req.Delta.Cells),
 		Patches:    stats.Patches,
 		Recomputes: stats.Recomputes,
-	})
-}
-
-// answerStream serves an AnswerRequest with Stream set: the release runs
-// over the tenant's maintained stream for the plan instead of a
-// request-supplied database. Admission control is identical to the static
-// path; with an idempotency key the charge and canonical response commit
-// as one WAL record after the release is computed (see chargeRecorded).
-func (s *Server) answerStream(ctx context.Context, w http.ResponseWriter, tenant, key, ikey, hash string, req *AnswerRequest, pl *blowfish.Plan) {
-	if req.X != nil {
-		s.fail(w, invalid(`a "stream": true request answers the maintained stream; x must be absent`))
-		return
-	}
-	st, ok := s.streams.get(streamKey(tenant, key))
-	if !ok {
-		s.errorCount.Add(1)
-		writeError(w, http.StatusNotFound, "no_stream",
-			fmt.Sprintf("tenant %q has no stream for this plan; create one with POST /v1/update", tenant), nil)
-		return
-	}
-	acct := s.Accountant(tenant)
-	if ikey != "" {
-		out, err := st.AnswerWith(ctx, nil, req.Epsilon, s.split())
-		if err != nil {
-			s.fail(w, err)
-			return
-		}
-		body, err := s.chargeRecorded(tenant, ikey, acct, pl.Cost(req.Epsilon), func(info BudgetInfo) ([]byte, error) {
-			return json.Marshal(AnswerResponse{
-				Algorithm: pl.Algorithm(),
-				Answers:   out,
-				Batched:   1,
-				PlanKey:   hash,
-				Budget:    info,
-			})
-		})
-		if err != nil {
-			s.chargeFail(w, acct, err)
-			return
-		}
-		s.answered.Add(1)
-		s.streamAnswers.Add(1)
-		writeRecorded(w, &idemEntry{Status: http.StatusOK, Body: body}, false)
-		return
-	}
-	if err := s.chargeTenant(tenant, acct, pl.Cost(req.Epsilon)); err != nil {
-		s.chargeFail(w, acct, err)
-		return
-	}
-	out, err := st.AnswerWith(ctx, nil, req.Epsilon, s.split())
-	if err != nil {
-		s.fail(w, err)
-		return
-	}
-	s.answered.Add(1)
-	s.streamAnswers.Add(1)
-	writeJSON(w, http.StatusOK, AnswerResponse{
-		Algorithm: pl.Algorithm(),
-		Answers:   out,
-		Batched:   1,
-		PlanKey:   hash,
-		Budget:    budgetInfo(acct),
 	})
 }
 

@@ -1,3 +1,8 @@
+// Package servebench holds the streaming-maintenance and domain-sharding
+// experiments behind cmd/blowfishbench's -exp stream and -exp shard. It
+// lives outside internal/eval because both build on the public blowfish
+// package: folding them into eval would make the root package's own test
+// binary (which uses eval) depend on itself.
 package servebench
 
 import (
