@@ -1,5 +1,7 @@
-# Mirrors .github/workflows/ci.yml: `make lint build test bench` is exactly
-# what CI runs.
+# Development and CI targets. .github/workflows/ci.yml calls `make test`,
+# `make fuzz`, `make chaos`, `make crash` and `make e2e` rather than
+# repeating their commands; its other steps (gofmt, vet, doc lint, examples,
+# bench smokes and regression gates) are written out in the workflow.
 
 GO ?= go
 BENCH_JSON ?= BENCH_eval.json

@@ -58,12 +58,7 @@ func (c *lru[V]) getOrCreate(key string, build func() (V, error)) (V, bool, erro
 	e := &lruEntry[V]{key: key, ready: make(chan struct{})}
 	el := c.ll.PushFront(e)
 	c.items[key] = el
-	for c.ll.Len() > c.cap {
-		back := c.ll.Back()
-		c.ll.Remove(back)
-		delete(c.items, back.Value.(*lruEntry[V]).key)
-		c.evictions.Add(1)
-	}
+	c.evictLocked()
 	c.mu.Unlock()
 	c.misses.Add(1)
 
@@ -79,6 +74,17 @@ func (c *lru[V]) getOrCreate(key string, build func() (V, error)) (V, bool, erro
 		c.mu.Unlock()
 	}
 	return e.val, false, e.err
+}
+
+// evictLocked drops least recently used entries until the cache fits its
+// capacity. Must be called with mu held.
+func (c *lru[V]) evictLocked() {
+	for c.ll.Len() > c.cap {
+		back := c.ll.Back()
+		c.ll.Remove(back)
+		delete(c.items, back.Value.(*lruEntry[V]).key)
+		c.evictions.Add(1)
+	}
 }
 
 // get returns the value cached under key without building on a miss, moving
@@ -117,12 +123,7 @@ func (c *lru[V]) put(key string, v V) {
 	}
 	el := c.ll.PushFront(e)
 	c.items[key] = el
-	for c.ll.Len() > c.cap {
-		back := c.ll.Back()
-		c.ll.Remove(back)
-		delete(c.items, back.Value.(*lruEntry[V]).key)
-		c.evictions.Add(1)
-	}
+	c.evictLocked()
 }
 
 // each calls fn for every completed entry, most recently used first,

@@ -47,8 +47,7 @@ type idemSlot struct {
 }
 
 // idemTable is the per-daemon dedupe table. Keys are tenant-scoped
-// composites (see idemKey); a nil *idemTable records nothing and replays
-// nothing, disabling idempotency entirely.
+// composites (see idemKey).
 type idemTable struct {
 	mu    sync.Mutex
 	max   int
@@ -74,7 +73,7 @@ func newIdemTable(max int, ttl time.Duration, now func() time.Time) *idemTable {
 }
 
 // idemKey scopes an idempotency key to one tenant. Like streamKey, the
-// NUL separator cannot occur in either part of a parsed request.
+// first NUL is the separator: tenants containing one are rejected.
 func idemKey(tenant, key string) string { return tenant + "\x00" + key }
 
 // expired reports whether e is past the table's ttl at time nowNanos.
@@ -106,12 +105,8 @@ func (t *idemTable) pruneLocked(nowNanos int64) {
 // begin claims the key: a recorded entry replays immediately (replay
 // non-nil), an in-flight execution is waited on (honoring ctx), and an
 // unclaimed or abandoned key makes the caller the leader (leader true) —
-// it must call finish or abandon exactly once. A nil table always returns
-// leader semantics with no recording.
+// it must call finish or abandon exactly once.
 func (t *idemTable) begin(ctx context.Context, key string) (replay *idemEntry, leader bool, err error) {
-	if t == nil {
-		return nil, true, nil
-	}
 	for {
 		t.mu.Lock()
 		nowNanos := t.now().UnixNano()
@@ -146,9 +141,6 @@ func (t *idemTable) begin(ctx context.Context, key string) (replay *idemEntry, l
 
 // finish records the leader's canonical response and wakes every waiter.
 func (t *idemTable) finish(key string, status int, body []byte) {
-	if t == nil {
-		return
-	}
 	t.mu.Lock()
 	s, ok := t.slots[key]
 	if !ok || s.done {
@@ -169,9 +161,6 @@ func (t *idemTable) finish(key string, status int, body []byte) {
 // abandon releases the leader's claim without recording, so the next
 // attempt (a waiter or a later retry) executes fresh.
 func (t *idemTable) abandon(key string) {
-	if t == nil {
-		return
-	}
 	t.mu.Lock()
 	s, ok := t.slots[key]
 	if ok && !s.done {
@@ -187,9 +176,6 @@ func (t *idemTable) abandon(key string) {
 // WAL replay and snapshot restore re-seed the table without executions.
 // Existing recorded entries are overwritten (replay order wins).
 func (t *idemTable) install(key string, ent idemEntry) {
-	if t == nil {
-		return
-	}
 	t.mu.Lock()
 	if s, ok := t.slots[key]; ok && s.done {
 		t.evictLocked(s.el)
@@ -204,9 +190,6 @@ func (t *idemTable) install(key string, ent idemEntry) {
 
 // size returns the number of recorded entries.
 func (t *idemTable) size() int {
-	if t == nil {
-		return 0
-	}
 	t.mu.Lock()
 	defer t.mu.Unlock()
 	return t.order.Len()
@@ -215,9 +198,6 @@ func (t *idemTable) size() int {
 // each visits every recorded, unexpired entry oldest-first (the snapshot
 // export path).
 func (t *idemTable) each(fn func(key string, ent idemEntry)) {
-	if t == nil {
-		return
-	}
 	t.mu.Lock()
 	nowNanos := t.now().UnixNano()
 	type kv struct {

@@ -4,8 +4,9 @@ package serve
 // Config.DataDir is set. It builds on internal/persist's generation Store:
 //
 //   - Every budget charge and every stream mutation writes its WAL record
-//     (under walMu, before the in-memory state changes) so the log order is
-//     the apply order.
+//     under walMu, so the log order is the apply order. Charges and unkeyed
+//     updates write ahead of the in-memory change; a keyed update writes
+//     one record after its apply, before the reply (see updateStream).
 //   - Charge records carry the absolute post-charge ledger state, not the
 //     delta, so replay is an idempotent overwrite — re-applying the record a
 //     crash left as the last durable thing cannot double-spend.
@@ -88,8 +89,9 @@ type snapshotData struct {
 	Idem    []idemSnap                          `json:"idem,omitempty"`
 }
 
-// splitStreamKey undoes streamKey. Plan keys are json.Marshal output, which
-// escapes control characters, so the first NUL is always the separator.
+// splitStreamKey undoes streamKey (and idemKey). Tenants containing a NUL
+// are rejected before any key is built, so the first NUL is always the
+// separator.
 func splitStreamKey(k string) (tenant, plankey string, ok bool) {
 	i := strings.IndexByte(k, 0)
 	if i < 0 {
@@ -196,24 +198,37 @@ func (s *Server) charge(tenant, ikey string, acct *blowfish.Accountant, per blow
 }
 
 // updateStream opens (if needed) and mutates the (tenant, plan) maintained
-// stream, write-ahead when the daemon is durable. The WAL records and the
-// in-memory mutations happen under walMu in the same order, so replay
-// reconstructs exactly the acknowledged state. Returns whether this request
-// created the stream.
-func (s *Server) updateStream(entry *planEntry, tenant, key string, req *UpdateRequest) (*blowfish.Stream, bool, error) {
+// stream and returns the response. When the daemon is durable, the WAL
+// records and the in-memory mutations happen under walMu in the same order,
+// so replay reconstructs exactly the acknowledged state. The
+// Idempotency-Key decides only which records are written:
+//
+//   - Unkeyed updates are write-ahead: an "open" record before OpenStream
+//     and an "apply" record before Apply. The returned body is nil; the
+//     caller encodes resp after walMu is released.
+//   - A keyed update commits the open, the delta and the canonical response
+//     body as ONE "idem_update" record, appended after the in-memory apply
+//     (the body carries post-apply counters) but before the reply is
+//     visible. A crash before the append loses both the record and the
+//     in-memory state together, so the retry re-executes — still exactly
+//     once. A disk failure after the apply leaves the delta in memory but
+//     unacknowledged; the daemon goes read-only and rejects further
+//     updates, so no divergent history is ever acknowledged. The body is
+//     recorded in the dedupe table and returned for the reply.
+func (s *Server) updateStream(entry *planEntry, a admission, req *UpdateRequest) (UpdateResponse, []byte, error) {
 	pl := entry.plan
 	durable := s.store != nil
 	if durable {
 		s.walMu.Lock()
 		defer s.walMu.Unlock()
 		if s.readOnly.Load() {
-			return nil, false, errReadOnly
+			return UpdateResponse{}, nil, errReadOnly
 		}
 	}
-	skey := streamKey(tenant, key)
-	st, cached, err := s.streams.getOrCreate(skey, func() (*blowfish.Stream, error) {
-		if durable {
-			if err := s.appendWAL(walRecord{Op: "open", Tenant: tenant, Key: key, Base: req.Base}); err != nil {
+	ahead := durable && a.ikey == ""
+	st, cached, err := s.streams.getOrCreate(streamKey(a.tenant, a.key), func() (*blowfish.Stream, error) {
+		if ahead {
+			if err := s.appendWAL(walRecord{Op: "open", Tenant: a.tenant, Key: a.key, Base: req.Base}); err != nil {
 				return nil, err
 			}
 		}
@@ -224,85 +239,49 @@ func (s *Server) updateStream(entry *planEntry, tenant, key string, req *UpdateR
 		return entry.eng.OpenStream(pl, base, blowfish.StreamOptions{})
 	})
 	if err != nil {
-		return nil, false, err
+		return UpdateResponse{}, nil, err
 	}
 	if cached && req.Base != nil {
 		// A base on an existing stream would silently fork histories; make
 		// the caller drop it (or wait for the stream to age out of the LRU).
-		return nil, false, errStreamExists
+		return UpdateResponse{}, nil, errStreamExists
 	}
 	if len(req.Delta.Cells) > 0 {
-		if durable {
-			if err := s.appendWAL(walRecord{Op: "apply", Tenant: tenant, Key: key, Cells: req.Delta.Cells, Values: req.Delta.Values}); err != nil {
-				return nil, false, err
+		if ahead {
+			if err := s.appendWAL(walRecord{Op: "apply", Tenant: a.tenant, Key: a.key, Cells: req.Delta.Cells, Values: req.Delta.Values}); err != nil {
+				return UpdateResponse{}, nil, err
 			}
 		}
 		if err := st.Apply(blowfish.Delta{Cells: req.Delta.Cells, Values: req.Delta.Values}); err != nil {
-			return nil, false, err
-		}
-	}
-	return st, !cached, nil
-}
-
-// updateStreamIdem is updateStream for idempotent requests: the open, the
-// delta, and the canonical response commit as ONE "idem_update" WAL record,
-// appended after the in-memory apply (the response body carries post-apply
-// counters) but before the reply is visible, all under walMu. A crash before
-// the append loses both the record and the in-memory state together, so the
-// retry re-executes — still exactly once. A disk failure after the apply
-// leaves the delta in memory but unacknowledged; the daemon goes read-only
-// and rejects further updates, so no divergent history is ever acknowledged.
-func (s *Server) updateStreamIdem(entry *planEntry, tenant, key, ikey, hash string, req *UpdateRequest) ([]byte, error) {
-	pl := entry.plan
-	durable := s.store != nil
-	if durable {
-		s.walMu.Lock()
-		defer s.walMu.Unlock()
-		if s.readOnly.Load() {
-			return nil, errReadOnly
-		}
-	}
-	skey := streamKey(tenant, key)
-	st, cached, err := s.streams.getOrCreate(skey, func() (*blowfish.Stream, error) {
-		base := req.Base
-		if base == nil {
-			base = make([]float64, pl.Domain())
-		}
-		return entry.eng.OpenStream(pl, base, blowfish.StreamOptions{})
-	})
-	if err != nil {
-		return nil, err
-	}
-	if cached && req.Base != nil {
-		return nil, errStreamExists
-	}
-	if len(req.Delta.Cells) > 0 {
-		if err := st.Apply(blowfish.Delta{Cells: req.Delta.Cells, Values: req.Delta.Values}); err != nil {
-			return nil, err
+			return UpdateResponse{}, nil, err
 		}
 	}
 	stats := st.Stats()
-	body, err := json.Marshal(UpdateResponse{
-		PlanKey:    hash,
+	resp := UpdateResponse{
+		PlanKey:    a.hash,
 		Created:    !cached,
 		Applied:    len(req.Delta.Cells),
 		Patches:    stats.Patches,
 		Recomputes: stats.Recomputes,
-	})
+	}
+	if a.ikey == "" {
+		return resp, nil, nil
+	}
+	body, err := json.Marshal(resp)
 	if err != nil {
-		return nil, invalid("unencodable response: %v", err)
+		return UpdateResponse{}, nil, invalid("unencodable response: %v", err)
 	}
 	if durable {
 		if err := s.appendWAL(walRecord{
-			Op: "idem_update", Tenant: tenant, IdemKey: ikey, Key: key,
+			Op: "idem_update", Tenant: a.tenant, IdemKey: a.ikey, Key: a.key,
 			Created: !cached, Base: req.Base, Cells: req.Delta.Cells, Values: req.Delta.Values,
 			Status: http.StatusOK, Body: body, At: s.idem.now().UnixNano(),
 		}); err != nil {
-			return nil, err
+			return UpdateResponse{}, nil, err
 		}
 	}
-	s.idem.finish(idemKey(tenant, ikey), http.StatusOK, body)
-	return body, nil
+	s.idem.finish(idemKey(a.tenant, a.ikey), http.StatusOK, body)
+	return resp, body, nil
 }
 
 // planFromKey re-prepares the plan a persisted plan key names. The second
@@ -348,82 +327,61 @@ func (s *Server) replayRecord(raw []byte) error {
 		return fmt.Errorf("serve: undecodable WAL record: %w", err)
 	}
 	switch rec.Op {
-	case "charge":
+	case "charge", "idem_answer":
 		if rec.State == nil {
-			return fmt.Errorf("serve: charge record for tenant %q has no state", rec.Tenant)
+			return fmt.Errorf("serve: %s record for tenant %q has no state", rec.Op, rec.Tenant)
 		}
 		// Absolute post-charge state: overwrite, idempotently.
-		return s.Accountant(rec.Tenant).RestoreState(*rec.State)
-	case "open":
+		if err := s.Accountant(rec.Tenant).RestoreState(*rec.State); err != nil {
+			return err
+		}
+	case "open", "idem_update":
 		entry, exactKey, err := s.planFromKey(rec.Key)
 		if err != nil {
 			return err
 		}
-		base := rec.Base
-		if base == nil {
-			base = make([]float64, entry.plan.Domain())
+		skey := streamKey(rec.Tenant, exactKey)
+		if rec.Op == "open" || rec.Created {
+			base := rec.Base
+			if base == nil {
+				base = make([]float64, entry.plan.Domain())
+			}
+			// put (not getOrCreate): replaying a create after the stream was
+			// already restored from the snapshot means the crash landed between
+			// the WAL append and the acknowledgment — the fresh stream is the
+			// acknowledged state only if no snapshot captured it, and a snapshot
+			// is always rotated after replay folds the log in, so an overwrite
+			// here replays the same history the original daemon saw.
+			stream, err := entry.eng.OpenStream(entry.plan, base, blowfish.StreamOptions{})
+			if err != nil {
+				return fmt.Errorf("serve: reopening stream for %s replay: %w", rec.Op, err)
+			}
+			s.streams.put(skey, stream)
 		}
-		// put (not getOrCreate): replaying "open" after the stream was already
-		// restored from the snapshot means the crash landed between the WAL
-		// append and the acknowledgment — the fresh stream is the acknowledged
-		// state only if no snapshot captured it, and a snapshot is always
-		// rotated after replay folds the log in, so an overwrite here replays
-		// the same history the original daemon saw.
-		stream, err := entry.eng.OpenStream(entry.plan, base, blowfish.StreamOptions{})
-		if err != nil {
-			return fmt.Errorf("serve: reopening stream for replay: %w", err)
+		if rec.Op == "idem_update" {
+			st, ok := s.streams.get(skey)
+			if !ok {
+				return fmt.Errorf("serve: idem_update record for tenant %q references a stream neither snapshot nor log opened", rec.Tenant)
+			}
+			if len(rec.Cells) > 0 {
+				if err := st.Apply(blowfish.Delta{Cells: rec.Cells, Values: rec.Values}); err != nil {
+					return err
+				}
+			}
 		}
-		s.streams.put(streamKey(rec.Tenant, exactKey), stream)
-		return nil
 	case "apply":
 		st, ok := s.streams.get(streamKey(rec.Tenant, rec.Key))
 		if !ok {
 			return fmt.Errorf("serve: apply record for tenant %q references a stream neither snapshot nor log opened", rec.Tenant)
 		}
 		return st.Apply(blowfish.Delta{Cells: rec.Cells, Values: rec.Values})
-	case "idem_answer":
-		if rec.State == nil {
-			return fmt.Errorf("serve: idem_answer record for tenant %q has no state", rec.Tenant)
-		}
-		if err := s.Accountant(rec.Tenant).RestoreState(*rec.State); err != nil {
-			return err
-		}
-		s.idem.install(idemKey(rec.Tenant, rec.IdemKey), idemEntry{Status: rec.Status, Body: rec.Body, At: rec.At})
-		return nil
-	case "idem_update":
-		entry, exactKey, err := s.planFromKey(rec.Key)
-		if err != nil {
-			return err
-		}
-		skey := streamKey(rec.Tenant, exactKey)
-		if rec.Created {
-			base := rec.Base
-			if base == nil {
-				base = make([]float64, entry.plan.Domain())
-			}
-			// Overwrite, for the same reason the "open" case does: the WAL is
-			// always post-snapshot, so the record's history is the acknowledged
-			// history.
-			stream, err := entry.eng.OpenStream(entry.plan, base, blowfish.StreamOptions{})
-			if err != nil {
-				return fmt.Errorf("serve: reopening stream for idem_update replay: %w", err)
-			}
-			s.streams.put(skey, stream)
-		}
-		st, ok := s.streams.get(skey)
-		if !ok {
-			return fmt.Errorf("serve: idem_update record for tenant %q references a stream neither snapshot nor log opened", rec.Tenant)
-		}
-		if len(rec.Cells) > 0 {
-			if err := st.Apply(blowfish.Delta{Cells: rec.Cells, Values: rec.Values}); err != nil {
-				return err
-			}
-		}
-		s.idem.install(idemKey(rec.Tenant, rec.IdemKey), idemEntry{Status: rec.Status, Body: rec.Body, At: rec.At})
-		return nil
 	default:
 		return fmt.Errorf("serve: unknown WAL op %q", rec.Op)
 	}
+	if rec.Op == "idem_answer" || rec.Op == "idem_update" {
+		s.idem.install(idemKey(rec.Tenant, rec.IdemKey), idemEntry{Status: rec.Status, Body: rec.Body, At: rec.At})
+	}
+	return nil
 }
 
 // Recover attaches the daemon to its data directory, restores the latest
@@ -468,11 +426,7 @@ func (s *Server) Recover() error {
 	// Fold the replayed log into a fresh generation immediately: the WAL the
 	// daemon just replayed is retired, and a failure here means the disk is
 	// already misbehaving — start read-only rather than refuse to start.
-	s.walMu.Lock()
-	if err := s.snapshotLocked(); err != nil {
-		s.enterReadOnly(err)
-	}
-	s.walMu.Unlock()
+	_ = s.Snapshot()
 	s.ready.Store(true)
 
 	interval := s.cfg.SnapshotInterval

@@ -445,3 +445,43 @@ func TestCrashSweepRecovery(t *testing.T) {
 		})
 	}
 }
+
+// TestNULTenantRejected pins that a tenant name containing a NUL byte is
+// rejected on both request endpoints: stream and dedupe keys join tenant
+// and key with NUL, so such a tenant would make the snapshot unparseable
+// and stop the durable daemon from restarting.
+func TestNULTenantRejected(t *testing.T) {
+	dir := t.TempDir()
+	s := New(durable(dir, nil))
+	if err := s.Recover(); err != nil {
+		t.Fatal(err)
+	}
+	const tenant = "a\x00b"
+	for _, c := range []struct{ path, ikey string }{{"/v1/update", ""}, {"/v1/update", "k"}, {"/v1/answer", ""}, {"/v1/answer", "k"}} {
+		body := updateBody(t, tenant, 4, []float64{1, 2, 3, 4}, nil, nil)
+		if c.path == "/v1/answer" {
+			body = answerBody(t, tenant, 4, 0.1, make([]float64, 4))
+		}
+		rec := postKeyed(t, s, c.path, c.ikey, body)
+		if rec.Code != http.StatusBadRequest || errCode(t, rec.Body.Bytes()) != "invalid_request" {
+			t.Fatalf("%s (key %q) with a NUL tenant: %d %s", c.path, c.ikey, rec.Code, rec.Body)
+		}
+	}
+	if code, body := do(t, s, "POST", "/v1/update", updateBody(t, "ok", 4, []float64{1, 2, 3, 4}, nil, nil)); code != http.StatusOK {
+		t.Fatalf("update: %d %s", code, body)
+	}
+	if err := s.Snapshot(); err != nil {
+		t.Fatal(err)
+	}
+	if err := s.Close(); err != nil {
+		t.Fatal(err)
+	}
+	r := New(durable(dir, nil))
+	if err := r.Recover(); err != nil {
+		t.Fatalf("restart after NUL-tenant requests: %v", err)
+	}
+	defer r.Close()
+	if got := r.Stats().Streams; got != 1 {
+		t.Fatalf("recovered %d streams, want 1", got)
+	}
+}

@@ -46,6 +46,7 @@ import (
 	"net/http"
 	"runtime/debug"
 	"strconv"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -189,7 +190,9 @@ type Stats struct {
 // Server is the http.Handler implementing the blowfishd API:
 //
 //	GET  /healthz     liveness probe
+//	GET  /readyz      readiness probe (503 during WAL replay and read-only)
 //	POST /v1/answer   release a workload over a database for one tenant
+//	POST /v1/update   feed a delta into a tenant's maintained stream
 //	GET  /v1/budget   a tenant's budget ledger (?tenant=name)
 //	GET  /v1/stats    serving counters
 //
@@ -681,10 +684,10 @@ func planKey(pol PolicySpec, wl WorkloadSpec, o OptionsSpec) (string, string, er
 	return string(raw), fmt.Sprintf("%016x", h.Sum64()), nil
 }
 
-// streamKey scopes a maintained stream to one tenant and one plan. Plan
-// keys are json.Marshal output, which escapes control characters, so the
-// final NUL in the composite is always this separator — no two
-// (tenant, plan) pairs collide.
+// streamKey scopes a maintained stream to one tenant and one plan. The
+// preamble rejects tenants containing a NUL, so the first NUL in the
+// composite is always this separator — no two (tenant, plan) pairs collide
+// and splitStreamKey recovers both parts.
 func streamKey(tenant, plankey string) string { return tenant + "\x00" + plankey }
 
 // engineKey is the policy-level part of the cache identity.
@@ -753,26 +756,54 @@ func (s *Server) handleBudget(w http.ResponseWriter, r *http.Request) {
 	})
 }
 
-func (s *Server) handleAnswer(w http.ResponseWriter, r *http.Request) {
+// request is the part of a decoded AnswerRequest or UpdateRequest that the
+// admission preamble reads.
+type request interface {
+	head() (tenant string, timeoutMS int64, spec planKeySpec)
+}
+
+func (q *AnswerRequest) head() (string, int64, planKeySpec) {
+	return q.Tenant, q.TimeoutMS, planKeySpec{Policy: q.Policy, Workload: q.Workload, Options: q.Options}
+}
+
+// admission is a request that passed the preamble.
+type admission struct {
+	ctx       context.Context // carries the request's deadline
+	tenant    string          // "default" when the request names none
+	ikey      string          // Idempotency-Key; "" for unkeyed requests
+	key, hash string          // planKey's exact cache key and printable hash
+}
+
+// preamble runs the steps /v1/answer and /v1/update share, in order: count
+// the request, readiness, decode into req, deadline, tenant, Idempotency-Key
+// cap, rate limit, plan key, idempotent replay or claim, admission gate.
+// Each step writes its own rejection. Then handle runs with the admitted
+// request; the gate slot, the idempotency claim and the deadline are
+// released after it returns (or panics), in that order.
+func (s *Server) preamble(w http.ResponseWriter, r *http.Request, req request, handle func(admission)) {
 	s.requests.Add(1)
 	if !s.notReady(w) {
 		return
 	}
-	var req AnswerRequest
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
+	if err := json.NewDecoder(r.Body).Decode(req); err != nil {
 		s.errorCount.Add(1)
 		writeError(w, http.StatusBadRequest, "bad_json", fmt.Sprintf("decoding request: %v", err), nil)
 		return
 	}
-	ctx, cancel, err := requestContext(r.Context(), req.TimeoutMS)
+	tenant, timeoutMS, spec := req.head()
+	ctx, cancel, err := requestContext(r.Context(), timeoutMS)
 	defer cancel()
 	if err != nil {
 		s.fail(w, err)
 		return
 	}
-	tenant := req.Tenant
 	if tenant == "" {
 		tenant = "default"
+	}
+	if strings.IndexByte(tenant, 0) >= 0 {
+		// streamKey and idemKey join tenant and key at the first NUL.
+		s.fail(w, invalid("tenant %q contains a NUL byte", tenant))
+		return
 	}
 	ikey := r.Header.Get("Idempotency-Key")
 	if len(ikey) > idemKeyMaxLen {
@@ -782,7 +813,7 @@ func (s *Server) handleAnswer(w http.ResponseWriter, r *http.Request) {
 	if !s.allowTenant(w, tenant) {
 		return
 	}
-	key, hash, err := planKey(req.Policy, req.Workload, req.Options)
+	key, hash, err := planKey(spec.Policy, spec.Workload, spec.Options)
 	if err != nil {
 		s.fail(w, err)
 		return
@@ -809,74 +840,81 @@ func (s *Server) handleAnswer(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	defer release()
-	s.at(ctx, "admit")
-	entry, err := s.plan(key, req.Policy, req.Workload, req.Options)
-	if err != nil {
-		s.fail(w, err)
-		return
-	}
-	pl := entry.plan
-	s.at(ctx, "plan")
-	// Validate the request fully, then pre-check the budget, before any
-	// computation: a rejected request draws no noise and spends nothing.
-	var st *blowfish.Stream
-	switch {
-	case req.Stream && req.X != nil:
-		s.fail(w, invalid(`a "stream": true request answers the maintained stream; x must be absent`))
-		return
-	case req.Stream:
-		var ok bool
-		if st, ok = s.streams.get(streamKey(tenant, key)); !ok {
-			s.errorCount.Add(1)
-			writeError(w, http.StatusNotFound, "no_stream",
-				fmt.Sprintf("tenant %q has no stream for this plan; create one with POST /v1/update", tenant), nil)
+	handle(admission{ctx: ctx, tenant: tenant, ikey: ikey, key: key, hash: hash})
+}
+
+func (s *Server) handleAnswer(w http.ResponseWriter, r *http.Request) {
+	var req AnswerRequest
+	s.preamble(w, r, &req, func(a admission) {
+		s.at(a.ctx, "admit")
+		entry, err := s.plan(a.key, req.Policy, req.Workload, req.Options)
+		if err != nil {
+			s.fail(w, err)
 			return
 		}
-	case len(req.X) != pl.Domain():
-		s.fail(w, fmt.Errorf("serve: database size %d != policy domain %d: %w",
-			len(req.X), pl.Domain(), blowfish.ErrDomainMismatch))
-		return
-	}
-	acct := s.Accountant(tenant)
-	per := pl.Cost(req.Epsilon)
-	if err := affordable(acct, per); err != nil {
-		s.chargeFail(w, acct, err)
-		return
-	}
-	// Compute before charging: noise is drawn but nothing leaves yet. A
-	// caller that gave up by the end gets no answer, so it is not charged;
-	// once the charge commits, the reply is unconditional.
-	s.at(ctx, "compute")
-	var out []float64
-	if st != nil {
-		out, err = st.AnswerWith(ctx, nil, req.Epsilon, s.split())
-	} else {
-		out, err = pl.AnswerWith(ctx, nil, req.X, req.Epsilon, s.split())
-	}
-	if err != nil {
-		s.fail(w, err)
-		return
-	}
-	s.at(ctx, "charge")
-	if err := ctx.Err(); err != nil {
-		s.fail(w, err)
-		return
-	}
-	resp := AnswerResponse{Algorithm: pl.Algorithm(), Answers: out, Batched: 1, PlanKey: hash}
-	body, err := s.charge(tenant, ikey, acct, per, &resp)
-	if err != nil {
-		s.chargeFail(w, acct, err)
-		return
-	}
-	s.answered.Add(1)
-	if st != nil {
-		s.streamAnswers.Add(1)
-	}
-	if ikey != "" {
-		writeRecorded(w, &idemEntry{Status: http.StatusOK, Body: body}, false)
-		return
-	}
-	writeJSON(w, http.StatusOK, resp)
+		pl := entry.plan
+		s.at(a.ctx, "plan")
+		// Validate the request fully, then pre-check the budget, before any
+		// computation: a rejected request draws no noise and spends nothing.
+		var st *blowfish.Stream
+		switch {
+		case req.Stream && req.X != nil:
+			s.fail(w, invalid(`a "stream": true request answers the maintained stream; x must be absent`))
+			return
+		case req.Stream:
+			var ok bool
+			if st, ok = s.streams.get(streamKey(a.tenant, a.key)); !ok {
+				s.errorCount.Add(1)
+				writeError(w, http.StatusNotFound, "no_stream",
+					fmt.Sprintf("tenant %q has no stream for this plan; create one with POST /v1/update", a.tenant), nil)
+				return
+			}
+		case len(req.X) != pl.Domain():
+			s.fail(w, fmt.Errorf("serve: database size %d != policy domain %d: %w",
+				len(req.X), pl.Domain(), blowfish.ErrDomainMismatch))
+			return
+		}
+		acct := s.Accountant(a.tenant)
+		per := pl.Cost(req.Epsilon)
+		if err := affordable(acct, per); err != nil {
+			s.chargeFail(w, acct, err)
+			return
+		}
+		// Compute before charging: noise is drawn but nothing leaves yet. A
+		// caller that gave up by the end gets no answer, so it is not charged;
+		// once the charge commits, the reply is unconditional.
+		s.at(a.ctx, "compute")
+		var out []float64
+		if st != nil {
+			out, err = st.AnswerWith(a.ctx, nil, req.Epsilon, s.split())
+		} else {
+			out, err = pl.AnswerWith(a.ctx, nil, req.X, req.Epsilon, s.split())
+		}
+		if err != nil {
+			s.fail(w, err)
+			return
+		}
+		s.at(a.ctx, "charge")
+		if err := a.ctx.Err(); err != nil {
+			s.fail(w, err)
+			return
+		}
+		resp := AnswerResponse{Algorithm: pl.Algorithm(), Answers: out, Batched: 1, PlanKey: a.hash}
+		body, err := s.charge(a.tenant, a.ikey, acct, per, &resp)
+		if err != nil {
+			s.chargeFail(w, acct, err)
+			return
+		}
+		s.answered.Add(1)
+		if st != nil {
+			s.streamAnswers.Add(1)
+		}
+		if a.ikey != "" {
+			writeRecorded(w, &idemEntry{Status: http.StatusOK, Body: body}, false)
+			return
+		}
+		writeJSON(w, http.StatusOK, resp)
+	})
 }
 
 // at runs the test hook, if any, at the named point of an answer request.

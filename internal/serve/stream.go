@@ -14,7 +14,6 @@ package serve
 // is charged when the stream is answered.
 
 import (
-	"encoding/json"
 	"fmt"
 	"net/http"
 
@@ -57,108 +56,52 @@ type UpdateResponse struct {
 	Recomputes int64 `json:"recomputes"`
 }
 
+func (q *UpdateRequest) head() (string, int64, planKeySpec) {
+	return q.Tenant, q.TimeoutMS, planKeySpec{Policy: q.Policy, Workload: q.Workload, Options: q.Options}
+}
+
 func (s *Server) handleUpdate(w http.ResponseWriter, r *http.Request) {
-	s.requests.Add(1)
-	if !s.notReady(w) {
-		return
-	}
 	var req UpdateRequest
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-		s.errorCount.Add(1)
-		writeError(w, http.StatusBadRequest, "bad_json", fmt.Sprintf("decoding request: %v", err), nil)
-		return
-	}
-	ctx, cancel, err := requestContext(r.Context(), req.TimeoutMS)
-	defer cancel()
-	if err != nil {
-		s.fail(w, err)
-		return
-	}
-	tenant := req.Tenant
-	if tenant == "" {
-		tenant = "default"
-	}
-	ikey := r.Header.Get("Idempotency-Key")
-	if len(ikey) > idemKeyMaxLen {
-		s.fail(w, invalid("Idempotency-Key of %d bytes exceeds the %d-byte cap", len(ikey), idemKeyMaxLen))
-		return
-	}
-	if !s.allowTenant(w, tenant) {
-		return
-	}
-	key, hash, err := planKey(req.Policy, req.Workload, req.Options)
-	if err != nil {
-		s.fail(w, err)
-		return
-	}
-	if ikey != "" {
-		replay, _, err := s.idem.begin(ctx, idemKey(tenant, ikey))
+	s.preamble(w, r, &req, func(a admission) {
+		entry, err := s.plan(a.key, req.Policy, req.Workload, req.Options)
 		if err != nil {
 			s.fail(w, err)
 			return
 		}
-		if replay != nil {
-			writeRecorded(w, replay, true)
+		pl := entry.plan
+		// Validate everything against the plan's domain before any state exists
+		// or mutates, so a rejected update leaves the stream untouched.
+		if req.Base != nil && len(req.Base) != pl.Domain() {
+			s.fail(w, fmt.Errorf("serve: base size %d != policy domain %d: %w",
+				len(req.Base), pl.Domain(), blowfish.ErrDomainMismatch))
 			return
 		}
-		defer s.idem.abandon(idemKey(tenant, ikey))
-	}
-	release, admitted := s.admit(ctx, w, key)
-	if !admitted {
-		return
-	}
-	defer release()
-	entry, err := s.plan(key, req.Policy, req.Workload, req.Options)
-	if err != nil {
-		s.fail(w, err)
-		return
-	}
-	pl := entry.plan
-	// Validate everything against the plan's domain before any state exists
-	// or mutates, so a rejected update leaves the stream untouched.
-	if req.Base != nil && len(req.Base) != pl.Domain() {
-		s.fail(w, fmt.Errorf("serve: base size %d != policy domain %d: %w",
-			len(req.Base), pl.Domain(), blowfish.ErrDomainMismatch))
-		return
-	}
-	if len(req.Delta.Cells) != len(req.Delta.Values) {
-		s.fail(w, invalid("delta has %d cells but %d values", len(req.Delta.Cells), len(req.Delta.Values)))
-		return
-	}
-	for _, c := range req.Delta.Cells {
-		if c < 0 || c >= pl.Domain() {
-			s.fail(w, fmt.Errorf("serve: delta cell %d outside domain [0, %d): %w",
-				c, pl.Domain(), blowfish.ErrDomainMismatch))
+		if len(req.Delta.Cells) != len(req.Delta.Values) {
+			s.fail(w, invalid("delta has %d cells but %d values", len(req.Delta.Cells), len(req.Delta.Values)))
 			return
 		}
-	}
-	if err := ctx.Err(); err != nil {
-		s.fail(w, err)
-		return
-	}
-	if ikey != "" {
-		body, err := s.updateStreamIdem(entry, tenant, key, ikey, hash, &req)
+		for _, c := range req.Delta.Cells {
+			if c < 0 || c >= pl.Domain() {
+				s.fail(w, fmt.Errorf("serve: delta cell %d outside domain [0, %d): %w",
+					c, pl.Domain(), blowfish.ErrDomainMismatch))
+				return
+			}
+		}
+		if err := a.ctx.Err(); err != nil {
+			s.fail(w, err)
+			return
+		}
+		resp, body, err := s.updateStream(entry, a, &req)
 		if err != nil {
 			s.fail(w, err)
 			return
 		}
 		s.updates.Add(1)
-		writeRecorded(w, &idemEntry{Status: http.StatusOK, Body: body}, false)
-		return
-	}
-	st, created, err := s.updateStream(entry, tenant, key, &req)
-	if err != nil {
-		s.fail(w, err)
-		return
-	}
-	s.updates.Add(1)
-	stats := st.Stats()
-	writeJSON(w, http.StatusOK, UpdateResponse{
-		PlanKey:    hash,
-		Created:    created,
-		Applied:    len(req.Delta.Cells),
-		Patches:    stats.Patches,
-		Recomputes: stats.Recomputes,
+		if a.ikey != "" {
+			writeRecorded(w, &idemEntry{Status: http.StatusOK, Body: body}, false)
+			return
+		}
+		writeJSON(w, http.StatusOK, resp)
 	})
 }
 
