@@ -1,7 +1,7 @@
 # Development and CI targets. .github/workflows/ci.yml calls `make test`,
-# `make fuzz`, `make chaos`, `make crash` and `make e2e` rather than
-# repeating their commands; its other steps (gofmt, vet, doc lint, examples,
-# bench smokes and regression gates) are written out in the workflow.
+# `make fuzz`, `make chaos`, `make crash`, `make gate` and `make e2e` rather
+# than repeating their commands; its other steps (gofmt, vet, doc lint,
+# examples and bench smokes) are written out in the workflow.
 
 GO ?= go
 BENCH_JSON ?= BENCH_eval.json
@@ -58,14 +58,16 @@ e2e:
 	bash e2ebench/run.sh --workload static-mem --seed 1
 	bash e2ebench/run.sh --workload stream-durable --seed 1
 
-# Regression gate: regenerate the benchmark reports at the same scale as the
-# checked-in baselines, then compare the machine-portable ratio columns.
+# Regression gate: regenerate the benchmark reports at the same scale and
+# GOMAXPROCS as the checked-in baselines (benchgate refuses a pair that
+# differs in either), then compare the machine-portable ratio columns. CI
+# runs this target with GATE_TOLERANCE=0.6.
 GATE_TOLERANCE ?= 0.5
 gate:
-	$(GO) run ./cmd/blowfishbench -exp sparse -json BENCH_sparse.fresh.json
-	$(GO) run ./cmd/blowfishbench -exp fig10spectral -json BENCH_fig10spectral.fresh.json
-	$(GO) run ./cmd/blowfishbench -exp stream -full -json BENCH_stream.fresh.json
-	$(GO) run ./cmd/blowfishbench -exp shard -full -json BENCH_shard.fresh.json
+	GOMAXPROCS=1 $(GO) run ./cmd/blowfishbench -exp sparse -json BENCH_sparse.fresh.json
+	GOMAXPROCS=1 $(GO) run ./cmd/blowfishbench -exp fig10spectral -json BENCH_fig10spectral.fresh.json
+	GOMAXPROCS=1 $(GO) run ./cmd/blowfishbench -exp stream -full -json BENCH_stream.fresh.json
+	GOMAXPROCS=2 $(GO) run ./cmd/blowfishbench -exp shard -full -json BENCH_shard.fresh.json
 	$(GO) run ./cmd/benchgate -baseline BENCH_sparse.json -current BENCH_sparse.fresh.json -tolerance $(GATE_TOLERANCE)
 	$(GO) run ./cmd/benchgate -baseline BENCH_fig10spectral.json -current BENCH_fig10spectral.fresh.json -tolerance $(GATE_TOLERANCE)
 	$(GO) run ./cmd/benchgate -baseline BENCH_stream.json -current BENCH_stream.fresh.json -tolerance $(GATE_TOLERANCE)

@@ -25,7 +25,7 @@
 package blowfish
 
 import (
-	"fmt"
+	"context"
 
 	"github.com/privacylab/blowfish/internal/core"
 	"github.com/privacylab/blowfish/internal/noise"
@@ -162,25 +162,28 @@ type Options struct {
 // The database x is a histogram over the policy domain; eps <= 0 disables
 // noise (useful for testing pipelines).
 //
-// Answer recompiles the policy transform and strategy on every call. For
-// repeated releases — and for concurrent serving — Open an Engine once,
-// Prepare a Plan per workload, and call Plan.Answer, which produces bitwise
-// identical output without the per-call compilation.
+// Answer is the one-shot form of the Engine path: Open(p), Prepare(w), then
+// one Plan.AnswerWith release with no accountant, so it shares that path's
+// validation and typed errors and recompiles the strategy on every call.
+// For repeated releases — and for concurrent serving — Open an Engine once,
+// Prepare a Plan per workload, and call Plan.Answer.
 func Answer(w *Workload, x []float64, p *Policy, eps float64, src *Source, opts Options) ([]float64, error) {
-	if len(x) != p.K {
-		return nil, fmt.Errorf("blowfish: database size %d != policy domain %d: %w", len(x), p.K, ErrDomainMismatch)
-	}
-	alg, err := SelectAlgorithm(w, p, opts)
+	eng, err := Open(p, EngineOptions{})
 	if err != nil {
 		return nil, err
 	}
-	return alg.Run(w, x, eps, src)
+	plan, err := eng.Prepare(w, opts)
+	if err != nil {
+		return nil, err
+	}
+	return plan.AnswerWith(context.Background(), nil, x, eps, src)
 }
 
 // SelectAlgorithm returns the strategy Answer would use, exposed so callers
 // can inspect or reuse it across repeated releases. It is a thin wrapper
-// over the Engine path: the returned Algorithm's Prepare hook compiles the
-// strategy for a workload once, which is what Engine.Prepare uses.
+// over the Engine path: the returned Algorithm's Prepare compiles the
+// strategy for a workload once, which is what Engine.Prepare uses, and its
+// Run method is Prepare plus one release.
 func SelectAlgorithm(w *Workload, p *Policy, opts Options) (Algorithm, error) {
 	eng, err := Open(p, EngineOptions{})
 	if err != nil {

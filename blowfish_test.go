@@ -1,6 +1,7 @@
 package blowfish
 
 import (
+	"errors"
 	"math"
 	"testing"
 )
@@ -87,9 +88,31 @@ func TestAnswerEstimatorVariants(t *testing.T) {
 	}
 }
 
+// TestAnswerSizeMismatch checks that the one-shot Answer rejects every
+// malformed input with a typed error instead of panicking.
 func TestAnswerSizeMismatch(t *testing.T) {
-	if _, err := Answer(Histogram(4), make([]float64, 5), LinePolicy(4), 1, NewSource(4), Options{}); err == nil {
-		t.Fatal("size mismatch accepted")
+	cases := []struct {
+		name string
+		w    *Workload
+		x    []float64
+		p    *Policy
+		src  *Source
+		want error
+	}{
+		{"short x", Histogram(4), make([]float64, 3), LinePolicy(4), NewSource(4), ErrDomainMismatch},
+		{"long x", Histogram(4), make([]float64, 5), LinePolicy(4), NewSource(4), ErrDomainMismatch},
+		{"workload domain", Histogram(5), make([]float64, 4), LinePolicy(4), NewSource(4), ErrDomainMismatch},
+		{"nil policy", Histogram(4), make([]float64, 4), nil, NewSource(4), ErrInvalidOptions},
+		{"nil workload", nil, make([]float64, 4), LinePolicy(4), NewSource(4), ErrInvalidOptions},
+		{"nil source", Histogram(4), make([]float64, 4), LinePolicy(4), nil, ErrInvalidOptions},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			_, err := Answer(tc.w, tc.x, tc.p, 1, tc.src, Options{})
+			if !errors.Is(err, tc.want) {
+				t.Fatalf("Answer error %v, want %v", err, tc.want)
+			}
+		})
 	}
 }
 
@@ -256,6 +279,12 @@ func TestOptimizeAlgorithmPublicAPI(t *testing.T) {
 	for i := range truth {
 		if math.Abs(got[i]-truth[i]) > 1e-9 {
 			t.Fatal("optimized algorithm not exact at eps=0")
+		}
+	}
+	// A database of the wrong size is an error, not a panic.
+	for _, n := range []int{5, 13} {
+		if _, err := alg.Run(w, make([]float64, n), 1, NewSource(11)); err == nil {
+			t.Fatalf("database of size %d accepted for a 12-cell domain", n)
 		}
 	}
 }

@@ -8,14 +8,15 @@
 //
 // Usage:
 //
-//	blowfishbench -exp sparse -json BENCH_fresh.json
+//	GOMAXPROCS=1 blowfishbench -exp sparse -json BENCH_fresh.json
 //	benchgate -baseline BENCH_sparse.json -current BENCH_fresh.json
 //	benchgate -baseline old.json -current new.json -tolerance 0.25
 //
 // Experiments, tables and rows are matched by experiment id, table title and
 // row label; pairs present on only one side are reported and skipped. With
 // zero comparable cells the gate fails (a silently empty gate is a
-// misconfigured gate), unless -allow-empty is set.
+// misconfigured gate), unless -allow-empty is set. Reports whose gomaxprocs
+// or full_scale differ are not compared at all: benchgate exits 2.
 package main
 
 import (
@@ -51,6 +52,10 @@ func main() {
 		fmt.Fprintf(os.Stderr, "benchgate: %v\n", err)
 		os.Exit(2)
 	}
+	if err := likeForLike(base, cur); err != nil {
+		fmt.Fprintf(os.Stderr, "benchgate: %v\n", err)
+		os.Exit(2)
+	}
 	res := gate(base, cur, *tolerance, *minSeconds)
 	for _, line := range res.Log {
 		fmt.Println(line)
@@ -74,6 +79,7 @@ func main() {
 // "blowfishbench/v1"), keeping only what the gate reads.
 type report struct {
 	Schema      string       `json:"schema"`
+	GoMaxProcs  int          `json:"gomaxprocs"`
 	FullScale   bool         `json:"full_scale"`
 	Experiments []experiment `json:"experiments"`
 }
@@ -107,6 +113,21 @@ func loadReport(path string) (*report, error) {
 		return nil, fmt.Errorf("%s: unsupported schema %q", path, r.Schema)
 	}
 	return &r, nil
+}
+
+// likeForLike refuses to gate a pair recorded under different conditions:
+// ratios such as a dense-vs-sparse speedup move with the core count, and
+// paper-scale sizes are not comparable with quick ones.
+func likeForLike(base, cur *report) error {
+	if base.GoMaxProcs != cur.GoMaxProcs {
+		return fmt.Errorf("baseline recorded at gomaxprocs %d, current at %d: regenerate at GOMAXPROCS=%d",
+			base.GoMaxProcs, cur.GoMaxProcs, base.GoMaxProcs)
+	}
+	if base.FullScale != cur.FullScale {
+		return fmt.Errorf("baseline full_scale %v, current %v: regenerate at the baseline's scale",
+			base.FullScale, cur.FullScale)
+	}
+	return nil
 }
 
 // result is what one gate run produced: the per-cell audit trail, the

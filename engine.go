@@ -188,10 +188,8 @@ func (e *Engine) treeArtifact(key treeKey) (*treeArtifact, error) {
 	return art, nil
 }
 
-// algorithm resolves the strategy branch for (w, opts) exactly as the
-// original SelectAlgorithm did, but with transform/spanner artifacts served
-// from the Engine cache. The returned Algorithm carries both the legacy
-// per-call Run and the compile-once Prepare.
+// algorithm resolves the strategy branch for (w, opts), with
+// transform/spanner artifacts served from the Engine cache.
 func (e *Engine) algorithm(w *Workload, opts Options) (Algorithm, error) {
 	if err := opts.validate(); err != nil {
 		return Algorithm{}, err
@@ -294,8 +292,8 @@ func (pl *Plan) Cost(eps float64) Budget { return Budget{Epsilon: eps, Delta: pl
 // Answer releases the plan's workload over histogram x under
 // (eps, p)-Blowfish privacy, charging the Engine's default Accountant
 // first. The convention eps <= 0 disables noise (and is rejected under a
-// finite budget). The output is bitwise identical to what the legacy Answer
-// entry point produces for the same inputs and Source state. Answer is
+// finite budget). The output is bitwise identical to what the one-shot
+// Answer produces for the same inputs and Source state. Answer is
 // AnswerWith(context.Background(), engine accountant, …).
 func (pl *Plan) Answer(x []float64, eps float64, src *Source) ([]float64, error) {
 	return pl.AnswerWith(context.Background(), pl.eng.acct, x, eps, src)

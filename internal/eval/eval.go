@@ -85,13 +85,18 @@ func (o Options) normalize() Options {
 	return o
 }
 
-// MeasureMSE runs the algorithm `runs` times and returns the average mean
-// squared error per query against the exact answers.
+// MeasureMSE compiles the algorithm once, releases it `runs` times and
+// returns the average mean squared error per query against the exact
+// answers.
 func MeasureMSE(alg strategy.Algorithm, w *workload.Workload, x []float64, eps float64, runs int, src *noise.Source) (float64, error) {
+	prep, err := alg.Prepare(w)
+	if err != nil {
+		return 0, fmt.Errorf("eval: %s: %w", alg.Name, err)
+	}
 	truth := w.Answers(x)
 	var total float64
 	for r := 0; r < runs; r++ {
-		got, err := alg.Run(w, x, eps, src.Split())
+		got, err := prep.Answer(x, eps, src.Split())
 		if err != nil {
 			return 0, fmt.Errorf("eval: %s: %w", alg.Name, err)
 		}

@@ -24,11 +24,10 @@ import (
 // cell is one measurement: algorithm alg answering workload w on database x
 // at budget eps, with one pre-split noise stream per repetition.
 //
-// Algorithms that support the compile/run split are compiled once per cell
-// (guarded by prepOnce — whichever run unit arrives first pays for it) and
-// every repetition reuses the Prepared, instead of recompiling the strategy
-// per run as the original harness did. Outputs are bitwise unchanged;
-// compilation does not touch the noise streams.
+// The algorithm is compiled once per cell (guarded by prepOnce — whichever
+// run unit arrives first pays for it) and every repetition reuses the
+// Prepared. Compilation does not touch the noise streams, so outputs do not
+// depend on which unit compiles.
 type cell struct {
 	ri, ci  int
 	alg     strategy.Algorithm
@@ -43,13 +42,8 @@ type cell struct {
 	prepErr  error
 }
 
-// prepared compiles the cell's algorithm for its workload once; it returns
-// (nil, nil) for algorithms without a compile phase (the DP baselines),
-// which then take the legacy per-run path.
+// prepared compiles the cell's algorithm for its workload once.
 func (c *cell) prepared() (*strategy.Prepared, error) {
-	if c.alg.Prepare == nil {
-		return nil, nil
-	}
 	c.prepOnce.Do(func() {
 		c.prep, c.prepErr = c.alg.Prepare(c.w)
 	})
@@ -120,11 +114,7 @@ func (g *grid) run() ([][]float64, error) {
 		var got []float64
 		prep, err := c.prepared()
 		if err == nil {
-			if prep != nil {
-				got, err = prep.Answer(c.x, c.eps, c.runSrcs[r])
-			} else {
-				got, err = c.alg.Run(c.w, c.x, c.eps, c.runSrcs[r])
-			}
+			got, err = prep.Answer(c.x, c.eps, c.runSrcs[r])
 		}
 		if err != nil {
 			return fmt.Errorf("eval: %s: %w", c.alg.Name, err)

@@ -5,7 +5,6 @@ import (
 	"strings"
 	"testing"
 
-	"github.com/privacylab/blowfish/internal/noise"
 	"github.com/privacylab/blowfish/internal/strategy"
 	"github.com/privacylab/blowfish/internal/workload"
 )
@@ -121,7 +120,7 @@ func TestGridPropagatesAlgorithmErrors(t *testing.T) {
 	x := make([]float64, 8)
 	boom := contender{alg: strategy.Algorithm{
 		Name: "exploder",
-		Run: func(*workload.Workload, []float64, float64, *noise.Source) ([]float64, error) {
+		Prepare: func(*workload.Workload) (*strategy.Prepared, error) {
 			return nil, errors.New("kaboom")
 		},
 	}}

@@ -42,8 +42,9 @@ func PlanReuseExperiment(opts Options) (*Table, error) {
 	}
 
 	legacy := func(s *noise.Source) ([]float64, error) {
-		// What blowfish.Answer does per call: rebuild the transform and
-		// recompile the tree strategy, then release.
+		// The one-shot path, as blowfish.Answer takes it per call: rebuild
+		// the transform, then Algorithm.Run recompiles the tree strategy
+		// and releases once.
 		tr, err := core.New(policy.Line(k))
 		if err != nil {
 			return nil, err

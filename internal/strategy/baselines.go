@@ -1,8 +1,6 @@
 package strategy
 
 import (
-	"fmt"
-
 	"github.com/privacylab/blowfish/internal/mech"
 	"github.com/privacylab/blowfish/internal/noise"
 	"github.com/privacylab/blowfish/internal/workload"
@@ -16,117 +14,98 @@ import (
 // DPLaplaceHist answers the histogram (or any workload whose queries are
 // points) with per-cell Laplace noise, sensitivity 1.
 func DPLaplaceHist() Algorithm {
-	return Algorithm{
-		Name: "Laplace",
-		Run: func(w *workload.Workload, x []float64, eps float64, src *noise.Source) ([]float64, error) {
-			if err := checkDomain(w, x); err != nil {
-				return nil, err
-			}
+	const name = "Laplace"
+	return Algorithm{Name: name, Prepare: func(w *workload.Workload) (*Prepared, error) {
+		cells, err := points("Laplace hist baseline", w)
+		if err != nil {
+			return nil, err
+		}
+		return release(name, w, nil, func(x []float64, eps float64, src *noise.Source) []float64 {
 			noisy := mech.LaplaceVector(x, 1, eps, src)
-			out := make([]float64, w.Len())
-			for i, q := range w.Queries {
-				p, ok := q.(workload.Point)
-				if !ok {
-					return nil, fmt.Errorf("strategy: Laplace hist baseline wants point queries, got %T", q)
-				}
-				out[i] = noisy[int(p)]
+			out := make([]float64, len(cells))
+			for i, c := range cells {
+				out[i] = noisy[c]
 			}
-			return out, nil
-		},
-	}
+			return out
+		}), nil
+	}}
 }
 
 // DPPriveletRange1D answers 1-D range queries with the Privelet wavelet
 // mechanism over the original domain.
 func DPPriveletRange1D() Algorithm {
-	return Algorithm{
-		Name: "Privelet",
-		Run: func(w *workload.Workload, x []float64, eps float64, src *noise.Source) ([]float64, error) {
-			if err := checkDomain(w, x); err != nil {
-				return nil, err
-			}
+	const name = "Privelet"
+	return Algorithm{Name: name, Prepare: func(w *workload.Workload) (*Prepared, error) {
+		ranges, err := ranges1D("Privelet 1D baseline", w)
+		if err != nil {
+			return nil, err
+		}
+		noiseInto := func(out []float64, eps float64, src *noise.Source) {
 			oracle := mech.NewPriveletOracle(w.K, eps, src)
-			prefix := workload.PrefixSums(x)
-			out := make([]float64, w.Len())
-			for i, q := range w.Queries {
-				r, ok := q.(workload.Range1D)
-				if !ok {
-					return nil, fmt.Errorf("strategy: Privelet 1D baseline wants Range1D queries, got %T", q)
-				}
-				out[i] = workload.EvalRange1D(prefix, r) + oracle.IntervalNoise(r.L, r.R)
+			for i, r := range ranges {
+				out[i] += oracle.IntervalNoise(r.L, r.R)
 			}
-			return out, nil
-		},
-	}
+		}
+		return truthPlusNoise(name, w, &range1DOp{k: w.K, ranges: ranges}, noiseInto, nil), nil
+	}}
 }
 
 // DPDawaRange1D answers 1-D range queries with the data-dependent DAWA
 // mechanism over the original domain.
 func DPDawaRange1D() Algorithm {
-	return Algorithm{
-		Name: "Dawa",
-		Run: func(w *workload.Workload, x []float64, eps float64, src *noise.Source) ([]float64, error) {
-			if err := checkDomain(w, x); err != nil {
-				return nil, err
-			}
+	const name = "Dawa"
+	return Algorithm{Name: name, Prepare: func(w *workload.Workload) (*Prepared, error) {
+		ranges, err := ranges1D("Dawa 1D baseline", w)
+		if err != nil {
+			return nil, err
+		}
+		return release(name, w, nil, func(x []float64, eps float64, src *noise.Source) []float64 {
 			d := mech.NewDAWA(x, eps, mech.DefaultPartitionRatio, src)
-			out := make([]float64, w.Len())
-			for i, q := range w.Queries {
-				r, ok := q.(workload.Range1D)
-				if !ok {
-					return nil, fmt.Errorf("strategy: Dawa 1D baseline wants Range1D queries, got %T", q)
-				}
+			out := make([]float64, len(ranges))
+			for i, r := range ranges {
 				out[i] = d.EstimateRange(r.L, r.R)
 			}
-			return out, nil
-		},
-	}
+			return out
+		}), nil
+	}}
 }
 
 // DPDawaHist answers point queries from a DAWA histogram estimate.
 func DPDawaHist() Algorithm {
-	return Algorithm{
-		Name: "Dawa",
-		Run: func(w *workload.Workload, x []float64, eps float64, src *noise.Source) ([]float64, error) {
-			if err := checkDomain(w, x); err != nil {
-				return nil, err
-			}
+	const name = "Dawa"
+	return Algorithm{Name: name, Prepare: func(w *workload.Workload) (*Prepared, error) {
+		cells, err := points("Dawa hist baseline", w)
+		if err != nil {
+			return nil, err
+		}
+		return release(name, w, nil, func(x []float64, eps float64, src *noise.Source) []float64 {
 			d := mech.NewDAWA(x, eps, mech.DefaultPartitionRatio, src)
-			out := make([]float64, w.Len())
-			for i, q := range w.Queries {
-				p, ok := q.(workload.Point)
-				if !ok {
-					return nil, fmt.Errorf("strategy: Dawa hist baseline wants point queries, got %T", q)
-				}
-				out[i] = d.EstimatePoint(int(p))
+			out := make([]float64, len(cells))
+			for i, c := range cells {
+				out[i] = d.EstimatePoint(c)
 			}
-			return out, nil
-		},
-	}
+			return out
+		}), nil
+	}}
 }
 
 // DPPriveletRangeKd answers hyper-rectangle queries with the tensor-product
 // Privelet mechanism over the original grid.
 func DPPriveletRangeKd(dims []int) Algorithm {
-	return Algorithm{
-		Name: "Privelet",
-		Run: func(w *workload.Workload, x []float64, eps float64, src *noise.Source) ([]float64, error) {
-			if err := checkDomain(w, x); err != nil {
-				return nil, err
-			}
+	const name = "Privelet"
+	return Algorithm{Name: name, Prepare: func(w *workload.Workload) (*Prepared, error) {
+		rects, err := rangesKd("Privelet Kd baseline", w, len(dims))
+		if err != nil {
+			return nil, err
+		}
+		noiseInto := func(out []float64, eps float64, src *noise.Source) {
 			oracle := mech.NewPriveletKd(dims, eps, src)
-			table := workload.SummedAreaTable(dims, x)
-			out := make([]float64, w.Len())
-			for i, q := range w.Queries {
-				r, ok := q.(workload.RangeKd)
-				if !ok {
-					return nil, fmt.Errorf("strategy: Privelet Kd baseline wants RangeKd queries, got %T", q)
-				}
-				out[i] = workload.EvalRangeKd(dims, table, r) + oracle.RectNoise(r.Lo, r.Hi)
+			for i, r := range rects {
+				out[i] += oracle.RectNoise(r.Lo, r.Hi)
 			}
-			return out, nil
-		},
-	}
+		}
+		return truthPlusNoise(name, w, &rangeKdOp{dims: dims, k: w.K, rects: rects}, noiseInto, nil), nil
+	}}
 }
 
 // DPDawaRangeKd answers hyper-rectangle queries by flattening the grid with
@@ -139,13 +118,14 @@ func DPDawaRangeKd(dims []int) Algorithm {
 	if len(dims) != 2 {
 		panic("strategy: DPDawaRangeKd supports 2-D grids")
 	}
-	return Algorithm{
-		Name: "Dawa",
-		Run: func(w *workload.Workload, x []float64, eps float64, src *noise.Source) ([]float64, error) {
-			if err := checkDomain(w, x); err != nil {
-				return nil, err
-			}
-			rows, cols := dims[0], dims[1]
+	const name = "Dawa"
+	rows, cols := dims[0], dims[1]
+	return Algorithm{Name: name, Prepare: func(w *workload.Workload) (*Prepared, error) {
+		rects, err := rangesKd("Dawa Kd baseline", w, 2)
+		if err != nil {
+			return nil, err
+		}
+		return release(name, w, nil, func(x []float64, eps float64, src *noise.Source) []float64 {
 			flat := make([]float64, len(x))
 			for r := 0; r < rows; r++ {
 				for c := 0; c < cols; c++ {
@@ -153,12 +133,8 @@ func DPDawaRangeKd(dims []int) Algorithm {
 				}
 			}
 			d := mech.NewDAWA(flat, eps, mech.DefaultPartitionRatio, src)
-			out := make([]float64, w.Len())
-			for i, q := range w.Queries {
-				rq, ok := q.(workload.RangeKd)
-				if !ok {
-					return nil, fmt.Errorf("strategy: Dawa Kd baseline wants RangeKd queries, got %T", q)
-				}
+			out := make([]float64, len(rects))
+			for i, rq := range rects {
 				var v float64
 				for r := rq.Lo[0]; r <= rq.Hi[0]; r++ {
 					a := snakeIndex(r, rq.Lo[1], cols)
@@ -170,9 +146,9 @@ func DPDawaRangeKd(dims []int) Algorithm {
 				}
 				out[i] = v
 			}
-			return out, nil
-		},
-	}
+			return out
+		}), nil
+	}}
 }
 
 // snakeIndex maps 2-D grid coordinates to the boustrophedon flattening:

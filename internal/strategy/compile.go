@@ -10,14 +10,15 @@ import (
 	"github.com/privacylab/blowfish/internal/workload"
 )
 
-// This file is the compile/run split behind the public Engine/Plan API. The
-// transformational equivalence makes strategy construction a one-time step:
-// spanners, transforms, layouts and per-query support sets depend only on
-// the (policy, workload) pair, never on the database or the noise. A
-// Prepared captures all of that once; its Answer runs only the
-// noise-and-reconstruct hot path, performing the same float operations in
-// the same order as the corresponding Algorithm.Run so outputs stay bitwise
-// identical to the per-call path.
+// This file holds Prepared, the one build product every strategy compiles
+// to. The transformational equivalence makes strategy construction a
+// one-time step: spanners, transforms, layouts and per-query support sets
+// depend only on the (policy, workload) pair, never on the database or the
+// noise. A Prepared captures all of that once; its Answer runs only the
+// noise-and-reconstruct hot path. It also holds the unpack helpers that
+// check a workload's query shape at compile time and the two Prepared
+// assemblers: release, and truthPlusNoise for the strategies that release
+// exact answers plus one noise pass.
 
 // Prepared is a compiled, workload-bound strategy. It is immutable after
 // compilation: Answer is safe for concurrent use as long as each caller
@@ -48,12 +49,12 @@ func (p *Prepared) Answer(x []float64, eps float64, src *noise.Source) ([]float6
 // without a single such operator return nil.
 func (p *Prepared) Operator() sparse.Operator { return p.op }
 
-// AnswerBatch is the batch-coalescing hook behind Plan.AnswerBatch and the
-// serving daemon's cross-request batches: it releases the compiled workload
-// over every database in xs at budget eps, drawing release i's noise from
-// srcs[i] and fanning the releases out over pool (nil runs serially).
-// Because srcs are pre-split by the caller in serial order, results are
-// identical to len(xs) sequential Answer calls at any pool size.
+// AnswerBatch is the hook behind Plan.AnswerBatch: it releases the
+// compiled workload over every database in xs at budget eps, drawing
+// release i's noise from srcs[i] and fanning the releases out over pool
+// (nil runs serially). Because srcs are pre-split by the caller in serial
+// order, results are identical to len(xs) sequential Answer calls at any
+// pool size.
 //
 // stop, when non-nil, is polled before each release; the first non-nil
 // error it returns aborts the remaining releases and is returned. Plan's
@@ -84,26 +85,78 @@ func (p *Prepared) AnswerBatch(xs [][]float64, eps float64, srcs []*noise.Source
 }
 
 // compilations counts strategy compilations process-wide; plan-reuse tests
-// assert repeated Prepared.Answer calls leave it flat while the legacy
-// per-call path bumps it on every release.
+// assert repeated Prepared.Answer calls leave it flat while the one-shot
+// Algorithm.Run bumps it on every release.
 var compilations atomic.Int64
 
 // Compilations returns the number of strategy compilations so far.
 func Compilations() int64 { return compilations.Load() }
 
-// compiled assembles an Algorithm from its compile step: Prepare binds a
-// workload once, and the legacy Run recompiles on every call (the behavior
-// the original API had), so the two entry points cannot drift apart.
-func compiled(name string, prepare func(w *workload.Workload) (*Prepared, error)) Algorithm {
-	return Algorithm{
-		Name:    name,
-		Prepare: prepare,
-		Run: func(w *workload.Workload, x []float64, eps float64, src *noise.Source) ([]float64, error) {
-			p, err := prepare(w)
-			if err != nil {
-				return nil, err
-			}
-			return p.Answer(x, eps, src)
-		},
+// release assembles a Prepared from a strategy's per-release body, which
+// runs once the database is checked against the workload's domain.
+func release(name string, w *workload.Workload, op sparse.Operator, body func(x []float64, eps float64, src *noise.Source) []float64) *Prepared {
+	answer := func(x []float64, eps float64, src *noise.Source) ([]float64, error) {
+		if err := checkDomain(w, x); err != nil {
+			return nil, err
+		}
+		return body(x, eps, src), nil
 	}
+	return &Prepared{Name: name, answer: answer, op: op}
+}
+
+// truthPlusNoise assembles the Prepared of a strategy whose release is the
+// exact workload answers W·x, computed by truth, plus one per-release noise
+// pass that adds each query's strategy noise in place. refresh is the
+// strategy's streaming hook, or nil.
+func truthPlusNoise(name string, w *workload.Workload, truth sparse.Operator,
+	noiseInto func(out []float64, eps float64, src *noise.Source),
+	refresh func(x []float64) (*State, error)) *Prepared {
+	p := release(name, w, truth, func(x []float64, eps float64, src *noise.Source) []float64 {
+		out := make([]float64, w.Len())
+		truth.Apply(out, x)
+		noiseInto(out, eps, src)
+		return out
+	})
+	p.refresh = refresh
+	return p
+}
+
+// points, ranges1D and rangesKd unpack a workload's queries into the one
+// query shape a strategy answers, or report the strategy (name) whose shape
+// the workload violates. rangesKd also requires d-dimensional rectangles.
+
+func points(name string, w *workload.Workload) ([]int, error) {
+	cells := make([]int, w.Len())
+	for i, q := range w.Queries {
+		p, ok := q.(workload.Point)
+		if !ok {
+			return nil, fmt.Errorf("strategy: %s wants point queries, got %T", name, q)
+		}
+		cells[i] = int(p)
+	}
+	return cells, nil
+}
+
+func ranges1D(name string, w *workload.Workload) ([]workload.Range1D, error) {
+	ranges := make([]workload.Range1D, w.Len())
+	for i, q := range w.Queries {
+		r, ok := q.(workload.Range1D)
+		if !ok {
+			return nil, fmt.Errorf("strategy: %s wants Range1D queries, got %T", name, q)
+		}
+		ranges[i] = r
+	}
+	return ranges, nil
+}
+
+func rangesKd(name string, w *workload.Workload, d int) ([]workload.RangeKd, error) {
+	rects := make([]workload.RangeKd, w.Len())
+	for i, q := range w.Queries {
+		r, ok := q.(workload.RangeKd)
+		if !ok || len(r.Lo) != d {
+			return nil, fmt.Errorf("strategy: %s wants %d-D RangeKd queries, got %T", name, d, q)
+		}
+		rects[i] = r
+	}
+	return rects, nil
 }

@@ -92,6 +92,9 @@ func hierarchyMatrix(m int) *linalg.Matrix {
 // the identity over edges, the binary hierarchy over edges, and W_G itself.
 // Intended for small domains (it materializes q×|E| matrices).
 func OptimizeDense(p *policy.Policy, w *workload.Workload, eps float64) (Algorithm, float64, error) {
+	if w.K != p.K {
+		return Algorithm{}, 0, fmt.Errorf("strategy: workload domain %d != policy domain %d", w.K, p.K)
+	}
 	tr, err := core.New(p)
 	if err != nil {
 		return Algorithm{}, 0, err
@@ -127,52 +130,38 @@ func OptimizeDense(p *policy.Policy, w *workload.Workload, eps float64) (Algorit
 		return Algorithm{}, 0, fmt.Errorf("strategy: no candidate strategy supports workload %q under %q", w.Name, p.Name)
 	}
 	perQuery := best.err / (eps * eps) / float64(w.Len())
-	// Capture only what the serving closures need — reconOp, the noise
-	// dimension and the sensitivity — so the dense recon and strategy
-	// matrices (q×|E| and rows×|E|) can be collected once the search is
-	// over instead of living as long as the returned Algorithm.
+	if math.IsNaN(perQuery) {
+		return Algorithm{}, 0, fmt.Errorf("strategy: non-finite error estimate")
+	}
+	// Capture only what the release needs — reconOp, the noise dimension
+	// and the sensitivity — so the dense recon and strategy matrices (q×|E|
+	// and rows×|E|) can be collected once the search is over instead of
+	// living as long as the returned Algorithm.
 	name := "Optimized(" + best.name + ")"
-	reconOp, queries, etaLen, delta := best.reconOp, best.recon.Rows, best.a.Rows, best.delta
-	answer := func(w2 *workload.Workload, x []float64, eps float64, src *noise.Source) ([]float64, error) {
-		if w2.K != p.K {
-			return nil, fmt.Errorf("strategy: optimized mechanism domain %d != %d", p.K, w2.K)
-		}
-		if w2.Len() != queries {
-			return nil, fmt.Errorf("strategy: optimized mechanism fixed to %d queries, got %d", queries, w2.Len())
-		}
-		if w2 != w {
-			// A different same-shape workload would be answered as
-			// w2.Answers(x) + Recon_w·η — not a post-processing of the
-			// noised strategy, so the privacy guarantee would not apply.
-			return nil, fmt.Errorf("strategy: optimized mechanism is bound to workload %q", w.Name)
-		}
-		out := w2.Answers(x)
+	reconOp, etaLen, delta := best.reconOp, best.a.Rows, best.delta
+	prep := release(name, w, reconOp, func(x []float64, eps float64, src *noise.Source) []float64 {
+		out := w.Answers(x)
 		scale := 0.0
 		if eps > 0 {
 			scale = delta / eps
 		}
 		eta := src.LaplaceVec(etaLen, scale)
 		reconOp.AddApply(out, eta)
-		return out, nil
-	}
+		return out
+	})
 	alg := Algorithm{
 		Name: name,
-		Run:  answer,
 		// The search already compiled everything; Prepare just pins the
 		// chosen strategy to the workload it was optimized for. Identity,
-		// not shape, is required — see the check inside answer.
+		// not shape, is required: a different same-shape workload would be
+		// answered as w2.Answers(x) + Recon_w·η — not a post-processing of
+		// the noised strategy, so the privacy guarantee would not apply.
 		Prepare: func(w2 *workload.Workload) (*Prepared, error) {
 			if w2 != w {
 				return nil, fmt.Errorf("strategy: optimized mechanism is bound to workload %q", w.Name)
 			}
-			return &Prepared{Name: name, op: reconOp,
-				answer: func(x []float64, eps float64, src *noise.Source) ([]float64, error) {
-					return answer(w2, x, eps, src)
-				}}, nil
+			return prep, nil
 		},
-	}
-	if math.IsNaN(perQuery) {
-		return Algorithm{}, 0, fmt.Errorf("strategy: non-finite error estimate")
 	}
 	return alg, perQuery, nil
 }

@@ -68,7 +68,12 @@ func (s *grid2DStrategy) queryNoise(r1, r2, c1, c2 int) float64 {
 // 2D-Range experiments: 2-D range queries under G¹_{k²} with the per-line
 // oracles of the given kind (PriveletKind reproduces the paper's strategy
 // and its O(d·log^{3(d−1)}k/ε²) bound; CellKind and HierKind serve as
-// ablations).
+// ablations). Prepare validates and unpacks the query rectangles once; the
+// hot path draws the per-line oracles (the only per-release randomness),
+// builds the summed-area table, and reads off the ≤4 boundary runs per
+// query. Past the cfg sharding threshold the truth side is emitted as a
+// blocked operator over dim-0 slabs (see shard.go); the oracle pass is
+// unaffected.
 func GridPolicyRange2D(dims []int, kind mech.OracleKind, cfg Config) Algorithm {
 	name := "Transformed + Privelet"
 	switch kind {
@@ -77,57 +82,35 @@ func GridPolicyRange2D(dims []int, kind mech.OracleKind, cfg Config) Algorithm {
 	case mech.HierKind:
 		name = "Transformed + Hierarchical"
 	}
-	return compiled(name, func(w *workload.Workload) (*Prepared, error) {
-		return CompileGridRange2D(name, dims, kind, w, cfg)
-	})
-}
-
-// CompileGridRange2D compiles the Theorem 5.4 strategy (d = 2) for one
-// workload: query rectangles are validated and unpacked once. The hot path
-// draws the per-line oracles (the only per-release randomness), builds the
-// summed-area table, and reads off the ≤4 boundary runs per query. Past the
-// cfg sharding threshold the truth side is emitted as a blocked operator
-// over dim-0 slabs (see shard.go); the oracle pass is unaffected.
-func CompileGridRange2D(name string, dims []int, kind mech.OracleKind, w *workload.Workload, cfg Config) (*Prepared, error) {
-	if len(dims) != 2 {
-		return nil, fmt.Errorf("strategy: GridPolicyRange2D wants a 2-D grid, got dims %v", dims)
-	}
-	rows, cols := dims[0], dims[1]
-	if rows*cols != w.K {
-		return nil, fmt.Errorf("strategy: grid %dx%d != workload domain %d", rows, cols, w.K)
-	}
-	rects := make([]workload.RangeKd, w.Len())
-	for i, q := range w.Queries {
-		rq, ok := q.(workload.RangeKd)
-		if !ok || len(rq.Lo) != 2 {
-			return nil, fmt.Errorf("strategy: GridPolicyRange2D wants 2-D RangeKd queries, got %T", q)
+	return Algorithm{Name: name, Prepare: func(w *workload.Workload) (*Prepared, error) {
+		if len(dims) != 2 {
+			return nil, fmt.Errorf("strategy: GridPolicyRange2D wants a 2-D grid, got dims %v", dims)
 		}
-		rects[i] = rq
-	}
-	compilations.Add(1)
-	truth, evalFn, blockRows, err := gridTruth(dims, rects, cfg)
-	if err != nil {
-		return nil, err
-	}
-	// noiseInto is the per-release oracle pass, shared by the static answer
-	// and the streaming state so the two paths cannot drift. The oracles are
-	// the only randomness; they draw the same Source values whether the truth
-	// side is rebuilt per release or incrementally maintained.
-	noiseInto := func(out []float64, eps float64, src *noise.Source) {
-		s := newGrid2DStrategy(rows, cols, kind, eps, src)
-		for i, rq := range rects {
-			out[i] += s.queryNoise(rq.Lo[0], rq.Hi[0], rq.Lo[1], rq.Hi[1])
+		rows, cols := dims[0], dims[1]
+		if rows*cols != w.K {
+			return nil, fmt.Errorf("strategy: grid %dx%d != workload domain %d", rows, cols, w.K)
 		}
-	}
-	answer := func(x []float64, eps float64, src *noise.Source) ([]float64, error) {
-		if err := checkDomain(w, x); err != nil {
+		rects, err := rangesKd("GridPolicyRange2D", w, 2)
+		if err != nil {
 			return nil, err
 		}
-		out := make([]float64, len(rects))
-		truth.Apply(out, x)
-		noiseInto(out, eps, src)
-		return out, nil
-	}
-	refresh := satRefresh(name, w, dims, blockRows, cfg.Pool, evalFn, noiseInto)
-	return &Prepared{Name: name, answer: answer, op: truth, refresh: refresh}, nil
+		compilations.Add(1)
+		truth, evalFn, blockRows, err := gridTruth(dims, rects, cfg)
+		if err != nil {
+			return nil, err
+		}
+		// noiseInto is the per-release oracle pass, shared by the static
+		// answer and the streaming state so the two paths cannot drift. The
+		// oracles are the only randomness; they draw the same Source values
+		// whether the truth side is rebuilt per release or incrementally
+		// maintained.
+		noiseInto := func(out []float64, eps float64, src *noise.Source) {
+			s := newGrid2DStrategy(rows, cols, kind, eps, src)
+			for i, rq := range rects {
+				out[i] += s.queryNoise(rq.Lo[0], rq.Hi[0], rq.Lo[1], rq.Hi[1])
+			}
+		}
+		refresh := satRefresh(name, w, dims, blockRows, cfg.Pool, evalFn, noiseInto)
+		return truthPlusNoise(name, w, truth, noiseInto, refresh), nil
+	}}
 }

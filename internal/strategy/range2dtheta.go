@@ -186,90 +186,69 @@ func (s *thetaGrid2D) internalNoise(p piece) float64 {
 // thetaQueryPlan is one query's precompiled decomposition: the external
 // red-lattice rectangle (when nonempty) and the signed internal pieces.
 type thetaQueryPlan struct {
-	rq             workload.RangeKd
 	hasExt         bool
 	a1, a2, b1, b2 int
 	pieces         []piece
 }
 
 // ThetaGridRange2D returns the Theorem 5.6 algorithm for 2-D range queries
-// under G^θ_{k²}.
+// under G^θ_{k²}. Prepare computes the spanner geometry and every query's
+// lattice interval and piece decomposition once; the hot path draws the
+// oracles, builds the summed-area table and assembles the precompiled
+// terms. Past the cfg sharding threshold the truth side shards into dim-0
+// slabs (see shard.go); the spanner oracle pass is unaffected.
 func ThetaGridRange2D(dims []int, theta int, cfg Config) Algorithm {
 	name := fmt.Sprintf("Transformed + Privelet (theta=%d)", theta)
-	return compiled(name, func(w *workload.Workload) (*Prepared, error) {
-		return CompileThetaGridRange2D(name, dims, theta, w, cfg)
-	})
-}
-
-// CompileThetaGridRange2D compiles the Theorem 5.6 strategy for one
-// workload: the spanner geometry and every query's lattice interval and
-// piece decomposition are computed once; the hot path draws the oracles,
-// builds the summed-area table and assembles the precompiled terms. Past
-// the cfg sharding threshold the truth side shards into dim-0 slabs (see
-// shard.go); the spanner oracle pass is unaffected.
-func CompileThetaGridRange2D(name string, dims []int, theta int, w *workload.Workload, cfg Config) (*Prepared, error) {
-	if len(dims) != 2 {
-		return nil, fmt.Errorf("strategy: ThetaGridRange2D wants 2-D dims, got %v", dims)
-	}
-	if dims[0]*dims[1] != w.K {
-		return nil, fmt.Errorf("strategy: grid %v != workload domain %d", dims, w.K)
-	}
-	lay, err := newThetaLayout2D(dims, theta)
-	if err != nil {
-		return nil, err
-	}
-	plans := make([]thetaQueryPlan, w.Len())
-	for i, q := range w.Queries {
-		rq, ok := q.(workload.RangeKd)
-		if !ok || len(rq.Lo) != 2 {
-			return nil, fmt.Errorf("strategy: ThetaGridRange2D wants 2-D RangeKd queries, got %T", q)
+	return Algorithm{Name: name, Prepare: func(w *workload.Workload) (*Prepared, error) {
+		if len(dims) != 2 {
+			return nil, fmt.Errorf("strategy: ThetaGridRange2D wants 2-D dims, got %v", dims)
 		}
-		qr := rect{rq.Lo[0], rq.Hi[0], rq.Lo[1], rq.Hi[1]}
-		qp := &plans[i]
-		qp.rq = rq
-		qp.a1, qp.a2 = latticeInterval(qr.r1, qr.r2, lay.cell, lay.rows, lay.redRows)
-		qp.b1, qp.b2 = latticeInterval(qr.c1, qr.c2, lay.cell, lay.cols, lay.redCols)
-		qp.hasExt = qp.a1 <= qp.a2 && qp.b1 <= qp.b2
-		if lay.cell > 1 {
-			qp.pieces = lay.internalPieces(qr)
+		if dims[0]*dims[1] != w.K {
+			return nil, fmt.Errorf("strategy: grid %v != workload domain %d", dims, w.K)
 		}
-	}
-	compilations.Add(1)
-	rects := make([]workload.RangeKd, len(plans))
-	for i := range plans {
-		rects[i] = plans[i].rq
-	}
-	truth, evalFn, blockRows, err := gridTruth(dims, rects, cfg)
-	if err != nil {
-		return nil, err
-	}
-	// noiseInto is the per-release oracle pass shared by the static answer
-	// and the streaming state (see range2d.go).
-	noiseInto := func(out []float64, eps float64, src *noise.Source) {
-		s := lay.noised(eps, src)
-		for i := range plans {
-			qp := &plans[i]
-			var n float64
-			if qp.hasExt {
-				n += s.external.queryNoise(qp.a1, qp.a2, qp.b1, qp.b2)
-			}
-			for _, p := range qp.pieces {
-				n += s.internalNoise(p)
-			}
-			out[i] += n
-		}
-	}
-	answer := func(x []float64, eps float64, src *noise.Source) ([]float64, error) {
-		if err := checkDomain(w, x); err != nil {
+		lay, err := newThetaLayout2D(dims, theta)
+		if err != nil {
 			return nil, err
 		}
-		out := make([]float64, len(plans))
-		truth.Apply(out, x)
-		noiseInto(out, eps, src)
-		return out, nil
-	}
-	refresh := satRefresh(name, w, dims, blockRows, cfg.Pool, evalFn, noiseInto)
-	return &Prepared{Name: name, answer: answer, op: truth, refresh: refresh}, nil
+		rects, err := rangesKd("ThetaGridRange2D", w, 2)
+		if err != nil {
+			return nil, err
+		}
+		plans := make([]thetaQueryPlan, len(rects))
+		for i, rq := range rects {
+			qr := rect{rq.Lo[0], rq.Hi[0], rq.Lo[1], rq.Hi[1]}
+			qp := &plans[i]
+			qp.a1, qp.a2 = latticeInterval(qr.r1, qr.r2, lay.cell, lay.rows, lay.redRows)
+			qp.b1, qp.b2 = latticeInterval(qr.c1, qr.c2, lay.cell, lay.cols, lay.redCols)
+			qp.hasExt = qp.a1 <= qp.a2 && qp.b1 <= qp.b2
+			if lay.cell > 1 {
+				qp.pieces = lay.internalPieces(qr)
+			}
+		}
+		compilations.Add(1)
+		truth, evalFn, blockRows, err := gridTruth(dims, rects, cfg)
+		if err != nil {
+			return nil, err
+		}
+		// noiseInto is the per-release oracle pass shared by the static
+		// answer and the streaming state (see range2d.go).
+		noiseInto := func(out []float64, eps float64, src *noise.Source) {
+			s := lay.noised(eps, src)
+			for i := range plans {
+				qp := &plans[i]
+				var n float64
+				if qp.hasExt {
+					n += s.external.queryNoise(qp.a1, qp.a2, qp.b1, qp.b2)
+				}
+				for _, p := range qp.pieces {
+					n += s.internalNoise(p)
+				}
+				out[i] += n
+			}
+		}
+		refresh := satRefresh(name, w, dims, blockRows, cfg.Pool, evalFn, noiseInto)
+		return truthPlusNoise(name, w, truth, noiseInto, refresh), nil
+	}}
 }
 
 func minInt2(a, b int) int {

@@ -56,12 +56,15 @@ func restDims(dims []int, drop int) []int {
 	return rest
 }
 
-// queryNoise assembles the signed boundary-face noise for [lo, hi].
-func (s *gridKdStrategy) queryNoise(lo, hi []int) float64 {
+// faces calls f on each boundary face of [lo, hi] in a fixed order: per
+// dimension i, the upper face (sign −1: its inside endpoint has the larger
+// index) when lo[i] > 0, then the lower face (sign +1) when hi[i] is not the
+// last slice. Each face is a (d−1)-dim rectangle inside one sheet; faceLo
+// and faceHi are reused between calls.
+func (s *gridKdStrategy) faces(lo, hi []int, f func(sign float64, sheet *mech.PriveletKd, faceLo, faceHi []int)) {
 	d := len(s.dims)
 	faceLo := make([]int, 0, d)
 	faceHi := make([]int, 0, d)
-	var n float64
 	for i := 0; i < d; i++ {
 		faceLo = faceLo[:0]
 		faceHi = faceHi[:0]
@@ -76,103 +79,73 @@ func (s *gridKdStrategy) queryNoise(lo, hi []int) float64 {
 			faceLo = append(faceLo, 0)
 			faceHi = append(faceHi, 0)
 		}
-		if lo[i] > 0 { // upper face: inside endpoint has the larger index
-			n -= s.sheets[i][lo[i]-1].RectNoise(faceLo, faceHi)
+		if lo[i] > 0 {
+			f(-1, s.sheets[i][lo[i]-1], faceLo, faceHi)
 		}
-		if hi[i] < s.dims[i]-1 { // lower face: inside endpoint is smaller
-			n += s.sheets[i][hi[i]].RectNoise(faceLo, faceHi)
+		if hi[i] < s.dims[i]-1 {
+			f(+1, s.sheets[i][hi[i]], faceLo, faceHi)
 		}
 	}
+}
+
+// queryNoise assembles the signed boundary-face noise for [lo, hi].
+func (s *gridKdStrategy) queryNoise(lo, hi []int) float64 {
+	var n float64
+	s.faces(lo, hi, func(sign float64, sheet *mech.PriveletKd, faceLo, faceHi []int) {
+		n += sign * sheet.RectNoise(faceLo, faceHi)
+	})
 	return n
 }
 
 // queryVariance returns the analytic variance of queryNoise (faces live in
 // distinct sheets, so variances add).
 func (s *gridKdStrategy) queryVariance(lo, hi []int) float64 {
-	d := len(s.dims)
-	faceLo := make([]int, 0, d)
-	faceHi := make([]int, 0, d)
 	var v float64
-	for i := 0; i < d; i++ {
-		faceLo = faceLo[:0]
-		faceHi = faceHi[:0]
-		for t := 0; t < d; t++ {
-			if t == i {
-				continue
-			}
-			faceLo = append(faceLo, lo[t])
-			faceHi = append(faceHi, hi[t])
-		}
-		if len(faceLo) == 0 {
-			faceLo = append(faceLo, 0)
-			faceHi = append(faceHi, 0)
-		}
-		if lo[i] > 0 {
-			v += s.sheets[i][lo[i]-1].RectVariance(faceLo, faceHi)
-		}
-		if hi[i] < s.dims[i]-1 {
-			v += s.sheets[i][hi[i]].RectVariance(faceLo, faceHi)
-		}
-	}
+	s.faces(lo, hi, func(_ float64, sheet *mech.PriveletKd, faceLo, faceHi []int) {
+		v += sheet.RectVariance(faceLo, faceHi)
+	})
 	return v
 }
 
 // GridPolicyRangeKd returns the Theorem 5.4 algorithm for d-dimensional
-// range queries under G¹_{k^d}, for any d ≥ 1.
+// range queries under G¹_{k^d}, for any d ≥ 1. Prepare validates and
+// unpacks the query rectangles once; the hot path draws the per-sheet
+// oracles, builds the summed-area table and reads the 2d boundary faces per
+// query. Past the cfg sharding threshold the truth side shards into dim-0
+// slabs (see shard.go).
 func GridPolicyRangeKd(dims []int, cfg Config) Algorithm {
 	name := fmt.Sprintf("Transformed + Privelet (d=%d)", len(dims))
-	return compiled(name, func(w *workload.Workload) (*Prepared, error) {
-		return CompileGridRangeKd(name, dims, w, cfg)
-	})
-}
-
-// CompileGridRangeKd compiles the general-dimension Theorem 5.4 strategy
-// for one workload; the hot path draws the per-sheet oracles, builds the
-// summed-area table and reads the 2d boundary faces per query. Past the cfg
-// sharding threshold the truth side shards into dim-0 slabs (see shard.go).
-func CompileGridRangeKd(name string, dims []int, w *workload.Workload, cfg Config) (*Prepared, error) {
-	k := 1
-	for _, v := range dims {
-		if v < 2 {
-			return nil, fmt.Errorf("strategy: GridPolicyRangeKd needs every dimension >= 2, got %v", dims)
+	return Algorithm{Name: name, Prepare: func(w *workload.Workload) (*Prepared, error) {
+		k := 1
+		for _, v := range dims {
+			if v < 2 {
+				return nil, fmt.Errorf("strategy: GridPolicyRangeKd needs every dimension >= 2, got %v", dims)
+			}
+			k *= v
 		}
-		k *= v
-	}
-	if k != w.K {
-		return nil, fmt.Errorf("strategy: grid %v != workload domain %d", dims, w.K)
-	}
-	rects := make([]workload.RangeKd, w.Len())
-	for i, q := range w.Queries {
-		rq, ok := q.(workload.RangeKd)
-		if !ok || len(rq.Lo) != len(dims) {
-			return nil, fmt.Errorf("strategy: GridPolicyRangeKd wants %d-D RangeKd queries, got %T", len(dims), q)
+		if k != w.K {
+			return nil, fmt.Errorf("strategy: grid %v != workload domain %d", dims, w.K)
 		}
-		rects[i] = rq
-	}
-	compilations.Add(1)
-	truth, evalFn, blockRows, err := gridTruth(dims, rects, cfg)
-	if err != nil {
-		return nil, err
-	}
-	// noiseInto is the per-release oracle pass shared by the static answer
-	// and the streaming state (see range2d.go).
-	noiseInto := func(out []float64, eps float64, src *noise.Source) {
-		s := newGridKdStrategy(dims, eps, src)
-		for i, rq := range rects {
-			out[i] += s.queryNoise(rq.Lo, rq.Hi)
-		}
-	}
-	answer := func(x []float64, eps float64, src *noise.Source) ([]float64, error) {
-		if err := checkDomain(w, x); err != nil {
+		rects, err := rangesKd("GridPolicyRangeKd", w, len(dims))
+		if err != nil {
 			return nil, err
 		}
-		out := make([]float64, len(rects))
-		truth.Apply(out, x)
-		noiseInto(out, eps, src)
-		return out, nil
-	}
-	refresh := satRefresh(name, w, dims, blockRows, cfg.Pool, evalFn, noiseInto)
-	return &Prepared{Name: name, answer: answer, op: truth, refresh: refresh}, nil
+		compilations.Add(1)
+		truth, evalFn, blockRows, err := gridTruth(dims, rects, cfg)
+		if err != nil {
+			return nil, err
+		}
+		// noiseInto is the per-release oracle pass shared by the static
+		// answer and the streaming state (see range2d.go).
+		noiseInto := func(out []float64, eps float64, src *noise.Source) {
+			s := newGridKdStrategy(dims, eps, src)
+			for i, rq := range rects {
+				out[i] += s.queryNoise(rq.Lo, rq.Hi)
+			}
+		}
+		refresh := satRefresh(name, w, dims, blockRows, cfg.Pool, evalFn, noiseInto)
+		return truthPlusNoise(name, w, truth, noiseInto, refresh), nil
+	}}
 }
 
 // GridPolicyRangeKdVariance returns the analytic per-query error of the

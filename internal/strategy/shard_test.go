@@ -53,13 +53,13 @@ func TestGridShardedMatchesUnsharded(t *testing.T) {
 		build func(cfg Config) (*Prepared, error)
 	}{
 		{"range2d", func(cfg Config) (*Prepared, error) {
-			return CompileGridRange2D("g2", dims, mech.PriveletKind, w, cfg)
+			return GridPolicyRange2D(dims, mech.PriveletKind, cfg).Prepare(w)
 		}},
 		{"rangekd", func(cfg Config) (*Prepared, error) {
-			return CompileGridRangeKd("gkd", dims, w, cfg)
+			return GridPolicyRangeKd(dims, cfg).Prepare(w)
 		}},
 		{"thetagrid", func(cfg Config) (*Prepared, error) {
-			return CompileThetaGridRange2D("gt", dims, 2, w, cfg)
+			return ThetaGridRange2D(dims, 2, cfg).Prepare(w)
 		}},
 	}
 	for _, tc := range compiles {
@@ -117,7 +117,7 @@ func TestGridShardedMatchesUnsharded(t *testing.T) {
 func TestAutoShardThreshold(t *testing.T) {
 	dims := []int{16, 16}
 	w := workload.RandomRangesKd(dims, 20, noise.NewSource(2))
-	prep, err := CompileGridRangeKd("gkd", dims, w, Config{})
+	prep, err := GridPolicyRangeKd(dims, Config{}).Prepare(w)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -181,7 +181,7 @@ func TestShardedStreamMatchesStatic(t *testing.T) {
 	dims := []int{13, 5}
 	k := 13 * 5
 	w := workload.RandomRangesKd(dims, 60, noise.NewSource(41))
-	prep, err := CompileGridRangeKd("gkd", dims, w, Config{MaxBlockCells: 20})
+	prep, err := GridPolicyRangeKd(dims, Config{MaxBlockCells: 20}).Prepare(w)
 	if err != nil {
 		t.Fatal(err)
 	}

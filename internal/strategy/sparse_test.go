@@ -137,12 +137,12 @@ func TestGridCompilesExposeStructuredOperator(t *testing.T) {
 	dims := []int{8, 8}
 	src := noise.NewSource(3)
 	w := workload.RandomRangesKd(dims, 40, src)
-	for _, build := range []func() (*Prepared, error){
-		func() (*Prepared, error) { return CompileGridRange2D("g2", dims, mech.PriveletKind, w, Config{}) },
-		func() (*Prepared, error) { return CompileGridRangeKd("gkd", dims, w, Config{}) },
-		func() (*Prepared, error) { return CompileThetaGridRange2D("gt", dims, 2, w, Config{}) },
+	for _, alg := range []Algorithm{
+		GridPolicyRange2D(dims, mech.PriveletKind, Config{}),
+		GridPolicyRangeKd(dims, Config{}),
+		ThetaGridRange2D(dims, 2, Config{}),
 	} {
-		prep, err := build()
+		prep, err := alg.Prepare(w)
 		if err != nil {
 			t.Fatal(err)
 		}

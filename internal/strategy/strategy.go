@@ -7,12 +7,12 @@
 // strategies (Theorem 4.1): noisy interval answers over the edge domain with
 // noise calibrated to per-edge participation, reconstructed per query.
 //
-// Every strategy is split into a compile step and a run step. Compile
-// (CompileGridRange2D/Kd, CompileThetaGridRange2D, the tree transform build
-// in compileTree) does all workload-dependent work — strategy selection,
-// sensitivity calibration, reconstruction operators — and returns a Prepared
-// whose Answer is the noise-and-reconstruct hot path. Config carries the
-// compile-time knobs: MaxBlockCells shards the compile and the resulting
+// Every strategy is built one way: its constructor returns an Algorithm
+// whose Prepare does all workload-dependent work — strategy selection,
+// sensitivity calibration, query-shape checks, reconstruction operators —
+// and returns a Prepared whose Answer is the noise-and-reconstruct hot
+// path. Algorithm.Run is only Prepare followed by one Answer. Config carries
+// the compile-time knobs: MaxBlockCells shards the compile and the resulting
 // reconstruction along contiguous domain blocks (queries blocks for tree
 // policies) over the shared par.Pool, emitting sparse.BlockedOperator
 // reconstructions whose fixed-order block reduce keeps sharded output within
@@ -45,15 +45,22 @@ import (
 // list of Algorithms side by side. The convention eps <= 0 means "no noise";
 // tests use it to check that every algorithm is exact modulo its noise.
 //
-// Run recompiles the strategy on every call — the original per-call
-// behavior, kept for compatibility. Prepare, when non-nil, compiles the
-// strategy for a workload once; the returned Prepared answers repeated
-// releases (bitwise identically to Run) without recompiling, and is what
-// the public Engine/Plan API and the experiment grid use.
+// Prepare compiles the strategy for one workload; the returned Prepared
+// answers repeated releases without recompiling, and is what the public
+// Engine/Plan API and the experiment grid use.
 type Algorithm struct {
 	Name    string
-	Run     func(w *workload.Workload, x []float64, eps float64, src *noise.Source) ([]float64, error)
 	Prepare func(w *workload.Workload) (*Prepared, error)
+}
+
+// Run compiles the strategy for w and makes one release over x: Prepare
+// followed by Prepared.Answer, with the same output.
+func (a Algorithm) Run(w *workload.Workload, x []float64, eps float64, src *noise.Source) ([]float64, error) {
+	p, err := a.Prepare(w)
+	if err != nil {
+		return nil, err
+	}
+	return p.Answer(x, eps, src)
 }
 
 // Estimator produces a private estimate of a transformed database vector
@@ -92,18 +99,18 @@ func DawaConsistentEstimator(xg []float64, eps float64, src *noise.Source) []flo
 // 1 when the tree is the policy itself), and evaluate each transformed query
 // against the estimate plus the Lemma 4.10 constant correction.
 func TreePolicy(name string, tr *core.Transform, stretch int, est Estimator, cfg Config) Algorithm {
-	return compiled(name, func(w *workload.Workload) (*Prepared, error) {
+	return Algorithm{Name: name, Prepare: func(w *workload.Workload) (*Prepared, error) {
 		return CompileTree(name, tr, stretch, est, w, cfg)
-	})
+	}}
 }
 
 // CompileTree compiles the Theorem 4.3 tree strategy for one workload: the
 // per-query transformed supports and alias corrections are computed once, so
 // the hot path is only x_G (O(k) over the memoized layout), one estimator
 // call, and an O(nnz) operator application. The reconstruction matrix (one
-// row per query, one column per edge, entries in support-discovery order so
-// the float accumulation matches the per-call path bitwise) is kept as CSR
-// when its density is below sparse.DefaultMaxDensity and materialized dense
+// row per query, one column per edge, entries in support-discovery order, a
+// fixed float accumulation order the answer golden pins) is kept as CSR when
+// its density is below sparse.DefaultMaxDensity and materialized dense
 // otherwise. Past the cfg sharding threshold the rows are built as
 // per-query-block compile work items on the pool and concatenated — a
 // byte-identical CSR, so answers never depend on the block size.

@@ -122,70 +122,53 @@ type edgeRun struct {
 // 1-D range queries under G^θ_k with per-group oracles of the given kind
 // (PriveletKind gives the paper's O(log³θ/ε²) bound; CellKind matches the
 // "Transformed + Laplace" experimental variant but served group-wise).
+// Prepare computes the spanner layout and each query's constant-sign runs
+// once (also making the plan safe for concurrent releases — the layout's
+// support index scratch is only touched there), so the hot path is
+// group-oracle construction, prefix sums, and run lookups.
 func ThetaLineGrouped(k, theta int, kind mech.OracleKind) Algorithm {
 	name := fmt.Sprintf("ThetaLine(%s)", oracleKindName(kind))
-	return compiled(name, func(w *workload.Workload) (*Prepared, error) {
-		return CompileThetaLineGrouped(name, k, theta, kind, w)
-	})
-}
-
-// CompileThetaLineGrouped compiles the Theorem 5.5 strategy for one
-// workload: the spanner layout and each query's constant-sign runs are
-// computed once (also making the plan safe for concurrent releases — the
-// layout's support index scratch is only touched here), so the hot path is
-// group-oracle construction, prefix sums, and run lookups.
-func CompileThetaLineGrouped(name string, k, theta int, kind mech.OracleKind, w *workload.Workload) (*Prepared, error) {
-	if w.K != k {
-		return nil, fmt.Errorf("strategy: ThetaLineGrouped domain %d != workload %d", k, w.K)
-	}
-	lay, err := newThetaLineLayout(k, theta)
-	if err != nil {
-		return nil, err
-	}
-	ranges := make([]workload.Range1D, w.Len())
-	runs := make([][]edgeRun, w.Len())
-	for i, q := range w.Queries {
-		r, ok := q.(workload.Range1D)
-		if !ok {
-			return nil, fmt.Errorf("strategy: ThetaLineGrouped wants Range1D queries, got %T", q)
+	return Algorithm{Name: name, Prepare: func(w *workload.Workload) (*Prepared, error) {
+		if w.K != k {
+			return nil, fmt.Errorf("strategy: ThetaLineGrouped domain %d != workload %d", k, w.K)
 		}
-		ranges[i] = r
-		runs[i] = lay.runsForQuery(q)
-	}
-	compilations.Add(1)
-	truth := &range1DOp{k: w.K, ranges: ranges}
-	// noiseInto is the per-release oracle pass shared by the static answer
-	// and the streaming state (see range2d.go).
-	noiseInto := func(out []float64, eps float64, src *noise.Source) {
-		effEps := eps
-		if eps > 0 {
-			effEps = core.EffectiveEpsilon(eps, lay.stretch)
-		}
-		oracles := make([]mech.Oracle, len(lay.groupSizes))
-		for g, sz := range lay.groupSizes {
-			oracles[g] = mech.NewOracle(kind, sz, effEps, src)
-		}
-		for i := range ranges {
-			for _, run := range runs[i] {
-				out[i] += run.sign * oracles[run.group].IntervalNoise(run.lo, run.hi)
-			}
-		}
-	}
-	answer := func(x []float64, eps float64, src *noise.Source) ([]float64, error) {
-		if err := checkDomain(w, x); err != nil {
+		lay, err := newThetaLineLayout(k, theta)
+		if err != nil {
 			return nil, err
 		}
-		out := make([]float64, len(ranges))
-		truth.Apply(out, x)
-		noiseInto(out, eps, src)
-		return out, nil
-	}
-	// The 1-D prefix table is the dims = {k} summed-area table: the same
-	// left-to-right accumulation as workload.PrefixSums, bitwise. This
-	// strategy stays unsharded — θ-line domains route through the tree
-	// compile past the sharding threshold (see engine dispatch).
-	refresh := satRefresh(name, w, []int{w.K}, 0, nil, evalRanges(ranges), noiseInto)
-	return &Prepared{Name: name, answer: answer, op: truth, refresh: refresh}, nil
+		ranges, err := ranges1D("ThetaLineGrouped", w)
+		if err != nil {
+			return nil, err
+		}
+		runs := make([][]edgeRun, len(ranges))
+		for i, r := range ranges {
+			runs[i] = lay.runsForQuery(r)
+		}
+		compilations.Add(1)
+		// noiseInto is the per-release oracle pass shared by the static
+		// answer and the streaming state (see range2d.go).
+		noiseInto := func(out []float64, eps float64, src *noise.Source) {
+			effEps := eps
+			if eps > 0 {
+				effEps = core.EffectiveEpsilon(eps, lay.stretch)
+			}
+			oracles := make([]mech.Oracle, len(lay.groupSizes))
+			for g, sz := range lay.groupSizes {
+				oracles[g] = mech.NewOracle(kind, sz, effEps, src)
+			}
+			for i := range ranges {
+				for _, run := range runs[i] {
+					out[i] += run.sign * oracles[run.group].IntervalNoise(run.lo, run.hi)
+				}
+			}
+		}
+		// The 1-D prefix table is the dims = {k} summed-area table: the same
+		// left-to-right accumulation as workload.PrefixSums, bitwise. This
+		// strategy stays unsharded — θ-line domains route through the tree
+		// compile past the sharding threshold (see engine dispatch).
+		refresh := satRefresh(name, w, []int{w.K}, 0, nil, evalRanges(ranges), noiseInto)
+		return truthPlusNoise(name, w, &range1DOp{k: w.K, ranges: ranges}, noiseInto, refresh), nil
+	}}
 }
 
 func oracleKindName(kind mech.OracleKind) string {
