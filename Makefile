@@ -1,6 +1,6 @@
-# Development and CI targets. .github/workflows/ci.yml calls `make test`,
-# `make fuzz`, `make chaos`, `make crash`, `make gate` and `make e2e` rather
-# than repeating their commands; its other steps (gofmt, vet, doc lint,
+# Development and CI targets. .github/workflows/ci.yml calls `make docs`,
+# `make test`, `make fuzz`, `make chaos`, `make crash`, `make gate` and
+# `make e2e` rather than repeating their commands; its other steps (build,
 # examples and bench smokes) are written out in the workflow.
 
 GO ?= go
@@ -17,13 +17,13 @@ test:
 	$(GO) test -race ./...
 
 # Benchmarks: a 1-iteration smoke pass over every Benchmark* (so they cannot
-# bit-rot), then the experiment driver writing the machine-readable report
-# used for the perf trajectory.
+# bit-rot), then the experiment driver writing the machine-readable reports
+# used for the perf trajectory. Both reports are untracked: the gate
+# baselines are only ever rewritten by hand.
 bench:
 	$(GO) test -run '^$$' -bench . -benchtime=1x ./...
 	$(GO) run ./cmd/blowfishbench -exp table1,fig3,fig10a,fig10b,fig10spectral,planreuse -json $(BENCH_JSON)
-	$(GO) run ./cmd/blowfishbench -exp stream -full -json BENCH_stream.json
-	$(GO) run ./cmd/blowfishbench -exp shard -full -json BENCH_shard.json
+	$(GO) run ./cmd/blowfishbench -exp stream,shard -full -json BENCH_full.json
 
 # Wire-format fuzzers for the daemon's JSON surface plus the durable
 # snapshot/WAL decoders (typed errors, never a panic, on arbitrary bytes).
@@ -58,20 +58,17 @@ e2e:
 	bash e2ebench/run.sh --workload static-mem --seed 1
 	bash e2ebench/run.sh --workload stream-durable --seed 1
 
-# Regression gate: regenerate the benchmark reports at the same scale and
-# GOMAXPROCS as the checked-in baselines (benchgate refuses a pair that
-# differs in either), then compare the machine-portable ratio columns. CI
-# runs this target with GATE_TOLERANCE=0.6.
+# Regression gate: `blowfishbench -gate` reruns each tracked baseline's
+# experiments at the GOMAXPROCS, parallelism, seed and scale the baseline
+# records, writes the fresh report to BENCH_*.fresh.json, and fails on a
+# ratio column that regressed beyond GATE_TOLERANCE. Every baseline is gated
+# even after a failure. CI runs this target with GATE_TOLERANCE=0.6.
+GATE_BASELINES = BENCH_sparse.json BENCH_fig10spectral.json BENCH_stream.json BENCH_shard.json
 GATE_TOLERANCE ?= 0.5
 gate:
-	GOMAXPROCS=1 $(GO) run ./cmd/blowfishbench -exp sparse -json BENCH_sparse.fresh.json
-	GOMAXPROCS=1 $(GO) run ./cmd/blowfishbench -exp fig10spectral -json BENCH_fig10spectral.fresh.json
-	GOMAXPROCS=1 $(GO) run ./cmd/blowfishbench -exp stream -full -json BENCH_stream.fresh.json
-	GOMAXPROCS=2 $(GO) run ./cmd/blowfishbench -exp shard -full -json BENCH_shard.fresh.json
-	$(GO) run ./cmd/benchgate -baseline BENCH_sparse.json -current BENCH_sparse.fresh.json -tolerance $(GATE_TOLERANCE)
-	$(GO) run ./cmd/benchgate -baseline BENCH_fig10spectral.json -current BENCH_fig10spectral.fresh.json -tolerance $(GATE_TOLERANCE)
-	$(GO) run ./cmd/benchgate -baseline BENCH_stream.json -current BENCH_stream.fresh.json -tolerance $(GATE_TOLERANCE)
-	$(GO) run ./cmd/benchgate -baseline BENCH_shard.json -current BENCH_shard.fresh.json -tolerance $(GATE_TOLERANCE)
+	@status=0; for b in $(GATE_BASELINES); do \
+		$(GO) run ./cmd/blowfishbench -gate $$b -tolerance $(GATE_TOLERANCE) -json $${b%.json}.fresh.json || status=1; \
+	done; exit $$status
 
 lint:
 	@out="$$(gofmt -l .)"; if [ -n "$$out" ]; then \
@@ -87,4 +84,4 @@ docs: lint
 	@echo "docs: all internal packages documented"
 
 clean:
-	rm -f BENCH_*.fresh.json BENCH_smoke.json BENCH_eval.json
+	rm -f BENCH_*.fresh.json BENCH_smoke.json BENCH_eval.json BENCH_full.json

@@ -1,7 +1,8 @@
 // Command blowfishbench regenerates the tables and figures of "Design of
 // Policy-Aware Differentially Private Algorithms" (Haney, Machanavajjhala,
-// Ding; VLDB 2016). Each experiment id names a paper artifact; see DESIGN.md
-// for the full index.
+// Ding; VLDB 2016) and the serving benchmarks, and gates the checked-in
+// benchmark baselines. README "Running experiments" indexes the experiment
+// ids.
 //
 // Usage:
 //
@@ -11,19 +12,20 @@
 //	blowfishbench -exp fig10a,fig10b,fig3,table1
 //	blowfishbench -exp fig3 -parallel 8     # 8 measurement workers
 //	blowfishbench -exp all -json BENCH_eval.json
+//	blowfishbench -gate BENCH_sparse.json   # rerun a baseline and gate it
 //
-// Experiment ids: table1, fig3, fig10a, fig10b, planreuse, sparse (the
-// dense-vs-sparse answer-path timing sweep), stream (incremental stream
-// maintenance vs full recompile per delta batch, equivalence asserted at
-// 1e-9), shard (domain sharding past 10⁶ cells: blocked vs monolithic grid
-// answers, stream deltas, and tree compiles, equivalence asserted at 1e-9
-// in-loop — the -full grid tops out at 1024×1024), fig10spectral (the dense-vs-
-// Lanczos lower-bound engine comparison, with equivalence asserted wherever
-// the dense reference is feasible), and figNx where N∈{8,9} and x∈{a..h}
-// (fig8 and fig9 alone run all four workloads at both of that figure's ε
-// values). Results are deterministic for a fixed -seed at every -parallel
+// fig8 and fig9 alone run all four workloads at both of that figure's ε
+// values. Results are deterministic for a fixed -seed at every -parallel
 // setting: experiment noise streams are pre-split in a fixed serial order
 // before work fans out.
+//
+// -gate BASELINE reads a -json report and reruns its experiments under the
+// settings it records: GOMAXPROCS, parallelism, seed and scale. It then
+// compares the machine-portable ratio columns (those naming a speedup or a
+// ratio) row by row and exits 1 when a fresh value falls below
+// baseline×(1-tolerance), or when no cell was comparable. It exits 2 on an
+// unreadable baseline, on a GOMAXPROCS it cannot reproduce, and when any
+// flag that would change those settings is given.
 package main
 
 import (
@@ -38,53 +40,87 @@ import (
 
 	"github.com/privacylab/blowfish/internal/eval"
 	"github.com/privacylab/blowfish/internal/linalg"
+	"github.com/privacylab/blowfish/internal/par"
 	"github.com/privacylab/blowfish/internal/servebench"
 	"github.com/privacylab/blowfish/internal/strategy"
 )
 
 func main() {
 	var (
-		exp      = flag.String("exp", "all", "comma-separated experiment ids (see doc)")
-		full     = flag.Bool("full", false, "paper-scale sizes (k=4096, 10000 queries, 5 runs)")
-		seed     = flag.Int64("seed", 1, "experiment seed")
-		runs     = flag.Int("runs", 0, "override repetition count")
-		queries  = flag.Int("queries", 0, "override random query count")
-		parallel = flag.Int("parallel", 0, "worker count for experiments and linalg kernels (0 = one per CPU, 1 = serial)")
-		jsonOut  = flag.String("json", "", "also write a machine-readable benchmark report (e.g. BENCH_eval.json)")
+		exp       = flag.String("exp", "all", "comma-separated experiment ids (see doc)")
+		full      = flag.Bool("full", false, "paper-scale sizes (k=4096, 10000 queries, 5 runs)")
+		seed      = flag.Int64("seed", 1, "experiment seed")
+		runs      = flag.Int("runs", 0, "override repetition count")
+		queries   = flag.Int("queries", 0, "override random query count")
+		parallel  = flag.Int("parallel", 0, "worker count for experiments and linalg kernels (0 = one per CPU, 1 = serial)")
+		jsonOut   = flag.String("json", "", "also write a machine-readable benchmark report (e.g. BENCH_eval.json)")
+		gatePath  = flag.String("gate", "", "rerun this baseline report at its recorded settings and gate its ratio columns")
+		tolerance = flag.Float64("tolerance", 0.5, "with -gate: allowed fractional regression of a ratio column")
 	)
 	flag.Parse()
+	set := map[string]bool{}
+	flag.Visit(func(f *flag.Flag) { set[f.Name] = true })
+	ids := strings.Split(*exp, ",")
+	if *exp == "all" {
+		ids = []string{"table1", "fig3", "fig8", "fig9", "fig10a", "fig10b", "fig10spectral", "planreuse", "sparse", "stream", "shard"}
+	}
+	var base *benchReport
+	if *gatePath != "" {
+		base = loadBaseline(*gatePath, set)
+		ids = nil
+		for _, e := range base.Experiments {
+			ids = append(ids, e.ID)
+		}
+		*full, *seed, *parallel = base.FullScale, base.Seed, base.Parallelism
+	}
 	linalg.SetParallelism(*parallel)
 	opts := eval.Quick()
 	if *full {
 		opts = eval.Defaults()
 	}
-	opts.Seed = *seed
-	opts.Parallelism = *parallel
+	opts.Seed, opts.Parallelism = *seed, *parallel
 	if *runs > 0 {
 		opts.Runs = *runs
 	}
 	if *queries > 0 {
 		opts.Queries = *queries
 	}
-	ids := strings.Split(*exp, ",")
-	if *exp == "all" {
-		ids = []string{"table1", "fig3", "fig8", "fig9", "fig10a", "fig10b", "fig10spectral", "planreuse", "sparse", "stream", "shard"}
+	report, err := runReport(ids, opts, *full, os.Stdout)
+	if err != nil {
+		fail(1, err)
 	}
-	report := benchReport{
+	if *jsonOut != "" {
+		if err := writeReport(*jsonOut, report); err != nil {
+			fail(1, err)
+		}
+	}
+	if base != nil {
+		os.Exit(gateExit(*gatePath, base, report, *tolerance))
+	}
+}
+
+func fail(code int, msg any) {
+	fmt.Fprintf(os.Stderr, "blowfishbench: %v\n", msg)
+	os.Exit(code)
+}
+
+// runReport runs each experiment id in order, streaming its tables to out,
+// and returns the -json report.
+func runReport(ids []string, opts eval.Options, full bool, out io.Writer) (*benchReport, error) {
+	report := &benchReport{
 		Schema:      "blowfishbench/v1",
-		Seed:        *seed,
-		Parallelism: *parallel,
+		Seed:        opts.Seed,
+		Parallelism: opts.Parallelism,
 		GoMaxProcs:  runtime.GOMAXPROCS(0),
-		FullScale:   *full,
+		FullScale:   full,
 	}
 	for _, id := range ids {
 		id = strings.TrimSpace(id)
 		start := time.Now()
 		compilesBefore := strategy.Compilations()
-		tables, err := run(id, opts, *full, os.Stdout)
+		tables, err := run(id, opts, full, out)
 		if err != nil {
-			fmt.Fprintf(os.Stderr, "blowfishbench: %s: %v\n", id, err)
-			os.Exit(1)
+			return nil, fmt.Errorf("%s: %w", id, err)
 		}
 		report.Experiments = append(report.Experiments, benchRecord{
 			ID: id, Seconds: time.Since(start).Seconds(),
@@ -92,12 +128,49 @@ func main() {
 			Tables:       tables,
 		})
 	}
-	if *jsonOut != "" {
-		if err := writeReport(*jsonOut, &report); err != nil {
-			fmt.Fprintf(os.Stderr, "blowfishbench: %v\n", err)
-			os.Exit(1)
+	return report, nil
+}
+
+// loadBaseline reads the -gate baseline and applies its GOMAXPROCS. It
+// exits 2 on a flag that would override the baseline's settings, on an
+// unreadable baseline, and when the shared pool does not come out at the
+// baseline's GOMAXPROCS.
+func loadBaseline(path string, set map[string]bool) *benchReport {
+	for _, name := range []string{"exp", "full", "seed", "runs", "queries", "parallel"} {
+		if set[name] {
+			fail(2, fmt.Sprintf("-gate reruns the baseline's own settings; -%s is not allowed", name))
 		}
 	}
+	base, err := loadReport(path)
+	if err != nil {
+		fail(2, err)
+	}
+	// The shared worker pool sizes itself from GOMAXPROCS at first use, so
+	// this must come before anything touches it.
+	runtime.GOMAXPROCS(base.GoMaxProcs)
+	if got := par.Shared().Size(); got != base.GoMaxProcs {
+		fail(2, fmt.Sprintf("%s was recorded at gomaxprocs %d; this run has %d workers", path, base.GoMaxProcs, got))
+	}
+	return base
+}
+
+// gateExit prints the gate's audit trail of fresh against base and returns
+// the exit code: 1 on a regression beyond tolerance or an empty gate.
+func gateExit(path string, base, fresh *benchReport, tolerance float64) int {
+	res := gate(base, fresh, tolerance)
+	for _, line := range res.Log {
+		fmt.Println(line)
+	}
+	switch {
+	case len(res.Violations) > 0:
+		fmt.Fprintf(os.Stderr, "blowfishbench: %s: %d regression(s) beyond tolerance %.2f (FAIL lines above)\n", path, len(res.Violations), tolerance)
+		return 1
+	case res.Compared == 0:
+		fmt.Fprintf(os.Stderr, "blowfishbench: %s: no comparable cells\n", path)
+		return 1
+	}
+	fmt.Printf("blowfishbench: %s OK (%d cells compared, %d skipped)\n", path, res.Compared, res.Skipped)
+	return 0
 }
 
 // benchReport is the machine-readable output behind -json: wall-clock and the
@@ -114,11 +187,24 @@ type benchReport struct {
 type benchRecord struct {
 	ID      string  `json:"id"`
 	Seconds float64 `json:"seconds"`
-	// Compilations counts strategy compilations during the experiment;
-	// since the plan-reuse rewiring it grows with the number of grid
-	// cells, not (cells × runs).
+	// Compilations counts strategy compilations during the experiment.
 	Compilations int64         `json:"compilations"`
 	Tables       []*eval.Table `json:"tables"`
+}
+
+func loadReport(path string) (*benchReport, error) {
+	raw, err := os.ReadFile(path)
+	if err != nil {
+		return nil, err
+	}
+	var r benchReport
+	if err := json.Unmarshal(raw, &r); err != nil {
+		return nil, fmt.Errorf("%s: %w", path, err)
+	}
+	if r.Schema != "blowfishbench/v1" {
+		return nil, fmt.Errorf("%s: unsupported schema %q", path, r.Schema)
+	}
+	return &r, nil
 }
 
 func writeReport(path string, r *benchReport) error {
@@ -142,102 +228,74 @@ var panelEps = map[string][2]float64{
 // for the -json report.
 func run(id string, opts eval.Options, full bool, out io.Writer) ([]*eval.Table, error) {
 	var tables []*eval.Table
-	emit := func(t *eval.Table, err error) error {
-		if err != nil {
-			return err
+	many := func(tabs []*eval.Table, err error) error {
+		for _, t := range tabs {
+			if err == nil {
+				fmt.Fprintln(out, t.String())
+				tables = append(tables, t)
+			}
 		}
-		fmt.Fprintln(out, t.String())
-		tables = append(tables, t)
-		return nil
+		return err
 	}
+	one := func(t *eval.Table, err error) error { return many([]*eval.Table{t}, err) }
+	var err error
 	switch {
 	case id == "table1":
-		if err := emit(eval.Table1Experiment(opts)); err != nil {
-			return nil, err
-		}
+		err = one(eval.Table1Experiment(opts))
 	case id == "fig3":
 		o := eval.QuickFig3()
 		if full {
 			o = eval.DefaultFig3()
 		}
 		o.Parallelism = opts.Parallelism
-		tabs, err := eval.Fig3Experiment(o)
-		if err != nil {
-			return nil, err
-		}
-		for _, t := range tabs {
-			if err := emit(t, nil); err != nil {
-				return nil, err
-			}
-		}
+		err = many(eval.Fig3Experiment(o))
 	case id == "fig10a":
-		if err := emit(eval.SVD1DExperiment(fig10Options(full, opts.Parallelism))); err != nil {
-			return nil, err
-		}
+		err = one(eval.SVD1DExperiment(fig10Options(full, opts.Parallelism)))
 	case id == "fig10b":
-		if err := emit(eval.SVD2DExperiment(fig10Options(full, opts.Parallelism))); err != nil {
-			return nil, err
-		}
+		err = one(eval.SVD2DExperiment(fig10Options(full, opts.Parallelism)))
 	case id == "fig10spectral":
 		o := eval.QuickFig10Spectral()
 		if full {
 			o = eval.DefaultFig10Spectral()
 		}
-		if err := emit(eval.Fig10SpectralExperiment(o)); err != nil {
-			return nil, err
-		}
+		err = one(eval.Fig10SpectralExperiment(o))
 	case id == "planreuse":
-		if err := emit(eval.PlanReuseExperiment(opts)); err != nil {
-			return nil, err
-		}
+		err = one(eval.PlanReuseExperiment(opts))
 	case id == "sparse":
-		if err := emit(eval.SparseAnswerExperiment(opts)); err != nil {
-			return nil, err
-		}
+		err = one(eval.SparseAnswerExperiment(opts))
 	case id == "stream":
 		o := servebench.QuickStreamBench()
 		if full {
 			o = servebench.DefaultStreamBench()
 		}
 		o.Seed = opts.Seed
-		if err := emit(servebench.StreamExperiment(o)); err != nil {
-			return nil, err
-		}
+		err = one(servebench.StreamExperiment(o))
 	case id == "shard":
 		o := servebench.QuickShardBench()
 		if full {
 			o = servebench.DefaultShardBench()
 		}
 		o.Seed = opts.Seed
-		tabs, err := servebench.ShardExperiment(o)
-		if err != nil {
-			return nil, err
-		}
-		for _, t := range tabs {
-			if err := emit(t, nil); err != nil {
-				return nil, err
-			}
-		}
+		err = many(servebench.ShardExperiment(o))
 	case id == "fig8" || id == "fig9":
 		for _, eps := range panelEps[id] {
 			for _, task := range []string{"2d", "hist", "1dg1", "1dg4"} {
-				if err := emit(runPanel(task, eps, opts)); err != nil {
-					return nil, err
+				if err == nil {
+					err = one(runPanel(task, eps, opts))
 				}
 			}
 		}
 	case strings.HasPrefix(id, "fig8") || strings.HasPrefix(id, "fig9"):
-		fig := id[:4]
-		panel := id[4:]
-		eps, task, err := panelFor(fig, panel)
-		if err != nil {
-			return nil, err
-		}
-		if err := emit(runPanel(task, eps, opts)); err != nil {
-			return nil, err
+		var eps float64
+		var task string
+		if eps, task, err = panelFor(id[:4], id[4:]); err == nil {
+			err = one(runPanel(task, eps, opts))
 		}
 	default:
-		return nil, fmt.Errorf("unknown experiment id %q", id)
+		err = fmt.Errorf("unknown experiment id %q", id)
+	}
+	if err != nil {
+		return nil, err
 	}
 	return tables, nil
 }

@@ -6,8 +6,8 @@
 // reports and the algorithms are sensitive to: domain size, scale (total
 // count) and the percentage of zero counts, with a clustered heavy-tailed
 // shape (Zipf mass over randomly placed clusters) typical of the originals.
-// DESIGN.md records the substitution and why it preserves the experimental
-// comparisons.
+// ARCHITECTURE.md "Substitutions" records the substitution and why it
+// preserves the experimental comparisons.
 package dataset
 
 import (

@@ -190,28 +190,57 @@ func (t *Table) Cell(row, col string) (float64, error) {
 	return t.Cells[ri][ci], nil
 }
 
+// tableJSON is the wire form of a Table: one labelled row of cells each,
+// null where a cell is not applicable.
+type tableJSON struct {
+	Title   string         `json:"title"`
+	Metric  string         `json:"metric"`
+	Columns []string       `json:"columns"`
+	Rows    []tableRowJSON `json:"rows"`
+}
+
+type tableRowJSON struct {
+	Label string     `json:"label"`
+	Cells []*float64 `json:"cells"`
+}
+
 // MarshalJSON encodes the table for machine consumption (cells as nulls when
 // not applicable).
 func (t *Table) MarshalJSON() ([]byte, error) {
-	type cellRow struct {
-		Label string     `json:"label"`
-		Cells []*float64 `json:"cells"`
-	}
-	out := struct {
-		Title   string    `json:"title"`
-		Metric  string    `json:"metric"`
-		Columns []string  `json:"columns"`
-		Rows    []cellRow `json:"rows"`
-	}{Title: t.Title, Metric: t.Metric, Columns: t.Columns}
+	out := tableJSON{Title: t.Title, Metric: t.Metric, Columns: t.Columns}
 	for i, label := range t.Rows {
-		row := cellRow{Label: label, Cells: make([]*float64, len(t.Cells[i]))}
-		for j := range t.Cells[i] {
-			if !math.IsNaN(t.Cells[i][j]) {
-				v := t.Cells[i][j]
+		row := tableRowJSON{Label: label, Cells: make([]*float64, len(t.Cells[i]))}
+		for j, v := range t.Cells[i] {
+			if !math.IsNaN(v) {
 				row.Cells[j] = &v
 			}
 		}
 		out.Rows = append(out.Rows, row)
 	}
 	return json.Marshal(out)
+}
+
+// UnmarshalJSON decodes what MarshalJSON writes; a null cell decodes to NaN,
+// and a row must have one cell per column.
+func (t *Table) UnmarshalJSON(raw []byte) error {
+	var in tableJSON
+	if err := json.Unmarshal(raw, &in); err != nil {
+		return err
+	}
+	*t = Table{Title: in.Title, Metric: in.Metric, Columns: in.Columns}
+	for _, r := range in.Rows {
+		if len(r.Cells) != len(in.Columns) {
+			return fmt.Errorf("eval: table %q row %q: %d cells for %d columns", in.Title, r.Label, len(r.Cells), len(in.Columns))
+		}
+		cells := make([]float64, len(r.Cells))
+		for j, c := range r.Cells {
+			cells[j] = math.NaN()
+			if c != nil {
+				cells[j] = *c
+			}
+		}
+		t.Rows = append(t.Rows, r.Label)
+		t.Cells = append(t.Cells, cells)
+	}
+	return nil
 }

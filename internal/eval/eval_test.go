@@ -271,3 +271,45 @@ func TestSparseAnswerExperiment(t *testing.T) {
 		t.Fatalf("sparse path slower than dense at %s: speedup %g", last, speedup)
 	}
 }
+
+func TestTableJSONRoundTrip(t *testing.T) {
+	tab := &Table{
+		Title:   "demo",
+		Metric:  "err",
+		Columns: []string{"a", "b", "c"},
+		Rows:    []string{"r1", "r2"},
+		Cells:   [][]float64{{1.5, math.NaN(), 1e-300}, {math.NaN(), 0, -2}},
+	}
+	raw, err := json.Marshal(tab)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !strings.Contains(string(raw), `[1.5,null,1e-300]`) {
+		t.Fatalf("NaN not written as null:\n%s", raw)
+	}
+	var back Table
+	if err := json.Unmarshal(raw, &back); err != nil {
+		t.Fatal(err)
+	}
+	if back.Title != tab.Title || back.Metric != tab.Metric ||
+		strings.Join(back.Columns, ",") != strings.Join(tab.Columns, ",") ||
+		strings.Join(back.Rows, ",") != strings.Join(tab.Rows, ",") {
+		t.Fatalf("round trip changed the labels: %+v", back)
+	}
+	for i := range tab.Cells {
+		for j, want := range tab.Cells[i] {
+			got := back.Cells[i][j]
+			if got != want && !(math.IsNaN(got) && math.IsNaN(want)) {
+				t.Fatalf("cell (%d,%d): %v, want %v", i, j, got, want)
+			}
+		}
+	}
+	// A report re-encoded from the decoded table is byte-identical.
+	again, err := json.Marshal(&back)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if string(again) != string(raw) {
+		t.Fatalf("re-encoding differs:\n%s\nvs\n%s", again, raw)
+	}
+}

@@ -2,8 +2,6 @@ package eval
 
 import (
 	"fmt"
-	"math"
-	"time"
 
 	"github.com/privacylab/blowfish/internal/core"
 	"github.com/privacylab/blowfish/internal/noise"
@@ -24,32 +22,28 @@ const sparseBenchQueries = 2000
 // fully dense reconstruction matrix (O(q·k) per release — the cost every
 // strategy would pay without density selection, and the cost dense-compiled
 // strategies did pay) versus the density-selected CSR operator (O(nnz)),
-// across a sweep of domain sizes. Both paths replay identical pre-split noise streams; the
-// experiment fails if any release pair drifts beyond 1e-9, so every
-// benchmark run doubles as an equivalence check. Cells are wall-clock
-// seconds per release plus the resulting speedup.
+// across a sweep of domain sizes. Release i of either path draws its noise
+// from seed i mod the release count, and after every release (untimed) its
+// answers are compared with the dense release at that seed: the experiment
+// fails past 1e-9, so every benchmark run doubles as an equivalence check.
+// Cells are the median wall-clock seconds per release (SecondsPerCall, at
+// least Runs×3 releases per path) plus the resulting speedup.
 func SparseAnswerExperiment(opts Options) (*Table, error) {
 	opts = opts.normalize()
-	base := 4096 / opts.DomainScale
-	if base < 64 {
-		base = 64
-	}
+	base := max(4096/opts.DomainScale, 64)
 	// Three octaves, capped at 16384 so the dense baseline stays tractable.
 	var domains []int
 	for k := base; k <= 4*base && k <= 16384; k *= 2 {
 		domains = append(domains, k)
 	}
-	queries := opts.Queries
-	if queries > sparseBenchQueries {
-		queries = sparseBenchQueries
-	}
+	queries := min(opts.Queries, sparseBenchQueries)
 	releases := opts.Runs * 3
 	src := noise.NewSource(opts.Seed + 700)
 
 	t := &Table{
 		Title: fmt.Sprintf("Sparse operator hot path: R_k under G^1_k (%d queries, %d releases)",
 			queries, releases),
-		Metric:  "seconds per release (wall clock) / dense-vs-sparse speedup",
+		Metric:  "median seconds per release (wall clock) / dense-vs-sparse speedup",
 		Columns: []string{"dense s/release", "sparse s/release", "speedup"},
 	}
 	const eps = 1.0
@@ -68,46 +62,26 @@ func SparseAnswerExperiment(opts Options) (*Table, error) {
 		if err != nil {
 			return nil, err
 		}
-		denseSrcs := make([]*noise.Source, releases)
-		sparseSrcs := make([]*noise.Source, releases)
-		for r := range denseSrcs {
-			seed := src.Int63()
-			denseSrcs[r] = noise.NewSource(seed)
-			sparseSrcs[r] = noise.NewSource(seed)
+		seeds := make([]int64, releases)
+		for r := range seeds {
+			seeds[r] = src.Int63()
 		}
-		start := time.Now()
-		denseOut := make([][]float64, releases)
-		for r := 0; r < releases; r++ {
-			denseOut[r], err = dense.Answer(x, eps, denseSrcs[r])
-			if err != nil {
-				return nil, fmt.Errorf("eval: sparse bench dense k=%d: %w", k, err)
-			}
+		// The dense path is timed first: it fills want, one release per seed.
+		want := make([][]float64, releases)
+		path := func(name string, p *strategy.Prepared) Timed {
+			return Releases(fmt.Sprintf("sparse bench k=%d %s", k, name), seeds, want, 1e-9,
+				func(s *noise.Source) ([]float64, error) { return p.Answer(x, eps, s) })
 		}
-		denseSec := time.Since(start).Seconds()
-		start = time.Now()
-		for r := 0; r < releases; r++ {
-			got, err := sp.Answer(x, eps, sparseSrcs[r])
-			if err != nil {
-				return nil, fmt.Errorf("eval: sparse bench sparse k=%d: %w", k, err)
-			}
-			for i := range got {
-				if d := math.Abs(got[i] - denseOut[r][i]); d > 1e-9 {
-					return nil, fmt.Errorf("eval: sparse bench k=%d release %d query %d: sparse %v vs dense %v (|diff| %g > 1e-9)",
-						k, r, i, got[i], denseOut[r][i], d)
-				}
-			}
+		denseSec, err := SecondsPerCall(releases, path("dense", dense))
+		if err != nil {
+			return nil, err
 		}
-		sparseSec := time.Since(start).Seconds()
-		// The sparse loop also pays the equivalence check above; that only
-		// understates its speedup.
-		speedup := math.NaN()
-		if sparseSec > 0 {
-			speedup = denseSec / sparseSec
+		sparseSec, err := SecondsPerCall(releases, path("sparse", sp))
+		if err != nil {
+			return nil, err
 		}
 		t.Rows = append(t.Rows, fmt.Sprintf("k=%d", k))
-		t.Cells = append(t.Cells, []float64{
-			denseSec / float64(releases), sparseSec / float64(releases), speedup,
-		})
+		t.Cells = append(t.Cells, []float64{denseSec, sparseSec, denseSec / sparseSec})
 	}
 	return t, nil
 }

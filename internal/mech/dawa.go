@@ -17,8 +17,8 @@ import (
 // the partition budget is wasted on a noisy partition, the degradation the
 // paper observes in Figures 8–9.
 //
-// Compared with the published DAWA we simplify stage 1 (DESIGN.md records
-// the substitution): instead of perturbing every interval cost
+// Compared with the published DAWA we simplify stage 1 (see ARCHITECTURE.md
+// "Substitutions"): instead of perturbing every interval cost
 // independently, stage 1 buys one ε₁-DP noisy histogram and evaluates all
 // interval costs on it — subsequent cost evaluation and the dynamic program
 // are post-processing, so stage 1 is ε₁-DP by construction and avoids the

@@ -4,13 +4,13 @@ import (
 	"context"
 	"fmt"
 	"math"
-	"time"
 
 	blowfish "github.com/privacylab/blowfish"
 	"github.com/privacylab/blowfish/internal/eval"
 )
 
-// ShardBenchOptions sizes the domain-sharding experiment.
+// ShardBenchOptions sizes the domain-sharding experiment. Every count must be
+// positive.
 type ShardBenchOptions struct {
 	// Seed makes histograms, workloads, and delta schedules deterministic.
 	Seed int64
@@ -24,9 +24,10 @@ type ShardBenchOptions struct {
 	// (the sharded tree compile parallelizes per-query support discovery, so
 	// the compile rows need enough queries to measure).
 	TreeQueries int
-	// Runs is how many timed repetitions each measurement averages over.
+	// Runs is the least number of timed answers and compiles per engine.
 	Runs int
-	// Deltas is how many single-cell stream deltas each grid scenario times.
+	// Deltas is the least number of single-cell stream deltas each grid
+	// scenario times per engine.
 	Deltas int
 }
 
@@ -43,22 +44,6 @@ func DefaultShardBench() ShardBenchOptions {
 		Queries: 500, TreeQueries: 4096, Runs: 3, Deltas: 64}
 }
 
-func (o ShardBenchOptions) normalize() ShardBenchOptions {
-	if o.Queries < 1 {
-		o.Queries = 1
-	}
-	if o.TreeQueries < 1 {
-		o.TreeQueries = 1
-	}
-	if o.Runs < 1 {
-		o.Runs = 1
-	}
-	if o.Deltas < 1 {
-		o.Deltas = 1
-	}
-	return o
-}
-
 // ShardExperiment measures what EngineOptions.ShardBlock buys past the
 // million-cell mark, against the monolithic path (ShardBlock = -1) on the
 // same policy, workload, histogram, and noise seeds:
@@ -72,16 +57,16 @@ func (o ShardBenchOptions) normalize() ShardBenchOptions {
 //   - Tree compiles: per-query-block support discovery and row building fan
 //     out over the pool, concatenated into a byte-identical CSR.
 //
-// After every timed answer pair the experiment compares sharded against
-// monolithic answers and fails if any query drifts beyond 1e-9, so the
-// benchmark doubles as an equivalence check (the check itself is untimed);
-// on the integer histograms used here the agreement is in fact exact.
+// Every cell is a median from eval.SecondsPerCall. The untimed checks fail
+// the experiment past 1e-9: every answer against the monolithic answer at
+// its seed, every compile against the first serial one, and after the
+// deltas each maintained state against a monolithic rebuild. On the integer
+// histograms used here the agreement is in fact exact.
 func ShardExperiment(o ShardBenchOptions) ([]*eval.Table, error) {
-	o = o.normalize()
 	grid := &eval.Table{
 		Title: fmt.Sprintf("Domain sharding: grid answers and stream deltas, blocked vs monolithic (%d queries, %d deltas, %d runs)",
 			o.Queries, o.Deltas, o.Runs),
-		Metric: "seconds per operation (best of runs) / monolithic-vs-sharded speedup",
+		Metric: "median seconds per operation / monolithic-vs-sharded speedup",
 		Columns: []string{"unsharded s/answer", "sharded s/answer", "answer speedup",
 			"unsharded s/delta", "sharded s/delta", "patch speedup"},
 	}
@@ -94,7 +79,7 @@ func ShardExperiment(o ShardBenchOptions) ([]*eval.Table, error) {
 	tree := &eval.Table{
 		Title: fmt.Sprintf("Domain sharding: tree compile, blocked vs serial construction (%d queries, %d runs)",
 			o.TreeQueries, o.Runs),
-		Metric:  "seconds per compile (best of runs) / serial-vs-sharded speedup",
+		Metric:  "median seconds per compile / serial-vs-sharded speedup",
 		Columns: []string{"serial s/compile", "sharded s/compile", "compile speedup"},
 	}
 	for _, k := range o.TreeDomains {
@@ -111,29 +96,28 @@ func ShardExperiment(o ShardBenchOptions) ([]*eval.Table, error) {
 func runGridShardScenario(t *eval.Table, side int, o ShardBenchOptions, src *blowfish.Source) error {
 	k := side * side
 	label := fmt.Sprintf("grid %dx%d (k=%d)", side, side, k)
-	block := k / 8
-	if block < 1 {
-		block = 1
-	}
+	block := max(k/8, 1)
 	pol := blowfish.GridPolicy(side)
 	w := blowfish.RandomRangesKd([]int{side, side}, o.Queries, src.Split())
-	ctx := context.Background()
 
-	engMono, err := blowfish.Open(pol, blowfish.EngineOptions{ShardBlock: -1})
-	if err != nil {
-		return fmt.Errorf("eval: shard bench %s: %w", label, err)
+	open := func(shardBlock int) (*blowfish.Engine, *blowfish.Plan, error) {
+		eng, err := blowfish.Open(pol, blowfish.EngineOptions{ShardBlock: shardBlock})
+		if err != nil {
+			return nil, nil, fmt.Errorf("eval: shard bench %s: %w", label, err)
+		}
+		pl, err := eng.Prepare(w, blowfish.Options{})
+		if err != nil {
+			return nil, nil, fmt.Errorf("eval: shard bench %s: %w", label, err)
+		}
+		return eng, pl, nil
 	}
-	plMono, err := engMono.Prepare(w, blowfish.Options{})
+	engMono, plMono, err := open(-1)
 	if err != nil {
-		return fmt.Errorf("eval: shard bench %s: %w", label, err)
+		return err
 	}
-	engShard, err := blowfish.Open(pol, blowfish.EngineOptions{ShardBlock: block})
+	engShard, plShard, err := open(block)
 	if err != nil {
-		return fmt.Errorf("eval: shard bench %s: %w", label, err)
-	}
-	plShard, err := engShard.Prepare(w, blowfish.Options{})
-	if err != nil {
-		return fmt.Errorf("eval: shard bench %s: %w", label, err)
+		return err
 	}
 
 	data := src.Split()
@@ -142,32 +126,32 @@ func runGridShardScenario(t *eval.Table, side int, o ShardBenchOptions, src *blo
 		x[i] = math.Floor(data.Uniform() * 50)
 	}
 
-	// Static answers, noise included (identical serial draw order per seed).
-	// Best-of-runs timing: the minimum discards GC and scheduler spikes, so
-	// the gated speedup ratios are stable across CI hosts.
-	monoSec, shardSec := math.Inf(1), math.Inf(1)
-	for r := 0; r < o.Runs; r++ {
-		seed := o.Seed + int64(r)
-		start := time.Now()
-		mono, err := plMono.AnswerWith(ctx, nil, x, 1.0, blowfish.NewSource(seed))
-		if err != nil {
-			return fmt.Errorf("eval: shard bench %s run %d: %w", label, r, err)
-		}
-		monoSec = math.Min(monoSec, time.Since(start).Seconds())
-		start = time.Now()
-		shard, err := plShard.AnswerWith(ctx, nil, x, 1.0, blowfish.NewSource(seed))
-		if err != nil {
-			return fmt.Errorf("eval: shard bench %s run %d: %w", label, r, err)
-		}
-		shardSec = math.Min(shardSec, time.Since(start).Seconds())
-		if err := compareAnswers(label, "answer", r, shard, mono); err != nil {
-			return err
-		}
+	// Static answers, noise included: call i of either engine draws from
+	// seed Seed + i mod Runs. The monolithic engine is timed first, so each
+	// sharded answer has the monolithic answer at its seed to match.
+	seeds := make([]int64, o.Runs)
+	for r := range seeds {
+		seeds[r] = o.Seed + int64(r)
+	}
+	want := make([][]float64, o.Runs)
+	answer := func(engine string, pl *blowfish.Plan) eval.Timed {
+		return eval.Releases(fmt.Sprintf("shard bench %s %s answer", label, engine), seeds, want, 1e-9,
+			func(src *blowfish.Source) ([]float64, error) {
+				return pl.AnswerWith(context.Background(), nil, x, 1.0, src)
+			})
+	}
+	monoSec, err := eval.SecondsPerCall(o.Runs, answer("monolithic", plMono))
+	if err != nil {
+		return err
+	}
+	shardSec, err := eval.SecondsPerCall(o.Runs, answer("sharded", plShard))
+	if err != nil {
+		return err
 	}
 
 	// Stream deltas through both maintained states: uniform random cells,
 	// where the global table's expected patch cost is O(k) and the blocked
-	// table's is capped at one slab.
+	// table's is capped at one slab. Both replay one delta schedule.
 	stMono, err := engMono.OpenStream(plMono, x, blowfish.StreamOptions{})
 	if err != nil {
 		return fmt.Errorf("eval: shard bench %s: %w", label, err)
@@ -176,130 +160,129 @@ func runGridShardScenario(t *eval.Table, side int, o ShardBenchOptions, src *blo
 	if err != nil {
 		return fmt.Errorf("eval: shard bench %s: %w", label, err)
 	}
-	var monoDeltaSec, shardDeltaSec float64
-	for i := 0; i < o.Deltas; i++ {
-		d := blowfish.Delta{Cells: []int{data.Intn(k)}, Values: []float64{math.Floor(data.Uniform()*5) + 1}}
-		start := time.Now()
-		if err := stMono.Apply(d); err != nil {
-			return fmt.Errorf("eval: shard bench %s delta %d: %w", label, i, err)
+	var deltas []blowfish.Delta
+	patch := func(engine string, st *blowfish.Stream, applied *int) eval.Timed {
+		return eval.Timed{
+			Setup: func(i int) error {
+				if i == len(deltas) {
+					deltas = append(deltas, blowfish.Delta{Cells: []int{data.Intn(k)}, Values: []float64{math.Floor(data.Uniform()*5) + 1}})
+				}
+				return nil
+			},
+			Run: func(i int) error {
+				*applied = i + 1
+				if err := st.Apply(deltas[i]); err != nil {
+					return fmt.Errorf("eval: shard bench %s %s delta %d: %w", label, engine, i, err)
+				}
+				return nil
+			},
 		}
-		monoDeltaSec += time.Since(start).Seconds()
-		start = time.Now()
-		if err := stShard.Apply(d); err != nil {
-			return fmt.Errorf("eval: shard bench %s delta %d: %w", label, i, err)
-		}
-		shardDeltaSec += time.Since(start).Seconds()
 	}
-	check := blowfish.NewSource(1)
-	mono, err := stMono.AnswerWith(ctx, nil, 0, check)
+	var nMono, nShard int
+	monoDeltaSec, err := eval.SecondsPerCall(o.Deltas, patch("monolithic", stMono, &nMono))
+	if err != nil {
+		return err
+	}
+	shardDeltaSec, err := eval.SecondsPerCall(o.Deltas, patch("sharded", stShard, &nShard))
+	if err != nil {
+		return err
+	}
+	// Untimed checks covering every delta: the monolithic state against its
+	// dense rebuild, and the sharded state against a monolithic rebuild over
+	// the same deltas.
+	rebuild := func(n int) (*blowfish.Stream, error) {
+		xn := append([]float64(nil), x...)
+		for _, d := range deltas[:n] {
+			xn[d.Cells[0]] += d.Values[0]
+		}
+		return engMono.OpenStream(plMono, xn, blowfish.StreamOptions{})
+	}
+	ref, err := rebuild(nMono)
 	if err != nil {
 		return fmt.Errorf("eval: shard bench %s: %w", label, err)
 	}
-	shard, err := stShard.AnswerWith(ctx, nil, 0, blowfish.NewSource(1))
-	if err != nil {
+	if err := sameArtifacts(fmt.Sprintf("shard bench %s stream: monolithic vs rebuild", label), stMono, ref); err != nil {
+		return err
+	}
+	if ref, err = rebuild(nShard); err != nil {
 		return fmt.Errorf("eval: shard bench %s: %w", label, err)
 	}
-	if err := compareAnswers(label, "stream", 0, shard, mono); err != nil {
+	if err := sameNoiseless(fmt.Sprintf("shard bench %s stream: sharded vs monolithic", label), stShard, ref); err != nil {
 		return err
 	}
 
 	t.Rows = append(t.Rows, label)
 	t.Cells = append(t.Cells, []float64{
-		monoSec, shardSec, ratio(monoSec, shardSec),
-		monoDeltaSec / float64(o.Deltas), shardDeltaSec / float64(o.Deltas), ratio(monoDeltaSec, shardDeltaSec),
+		monoSec, shardSec, monoSec / shardSec,
+		monoDeltaSec, shardDeltaSec, monoDeltaSec / shardDeltaSec,
 	})
 	return nil
 }
 
 // runTreeShardScenario times the tree strategy compile with construction
-// sharding (block = queries/8) against the serial build, checking the two
-// compiles answer identically, and appends a row.
+// sharding (block = queries/8) against the serial build and appends a row.
+// Every compile must answer like the first serial one.
 func runTreeShardScenario(t *eval.Table, k int, o ShardBenchOptions, src *blowfish.Source) error {
 	label := fmt.Sprintf("tree k=%d", k)
-	block := o.TreeQueries / 8
-	if block < 1 {
-		block = 1
-	}
+	block := max(o.TreeQueries/8, 1)
 	pol := blowfish.LinePolicy(k)
 	w := blowfish.RandomRanges1D(k, o.TreeQueries, src.Split())
 	warmup := blowfish.RandomRanges1D(k, 1, src.Split())
-	ctx := context.Background()
-	// Best-of-runs over the strategy compile alone: each run opens a fresh
-	// engine (compiles are cached per engine) and warms the shared policy
-	// transform with a 1-query Prepare, so the timed Prepare measures only
-	// the per-query support discovery and CSR construction being sharded.
-	serialSec, shardSec := math.Inf(1), math.Inf(1)
-	var serial, shard *blowfish.Plan
-	for r := 0; r < o.Runs; r++ {
-		engSerial, err := blowfish.Open(pol, blowfish.EngineOptions{ShardBlock: -1})
-		if err != nil {
-			return fmt.Errorf("eval: shard bench %s run %d: %w", label, r, err)
-		}
-		if _, err := engSerial.Prepare(warmup, blowfish.Options{}); err != nil {
-			return fmt.Errorf("eval: shard bench %s run %d: %w", label, r, err)
-		}
-		start := time.Now()
-		serial, err = engSerial.Prepare(w, blowfish.Options{})
-		if err != nil {
-			return fmt.Errorf("eval: shard bench %s run %d: %w", label, r, err)
-		}
-		serialSec = math.Min(serialSec, time.Since(start).Seconds())
-
-		engShard, err := blowfish.Open(pol, blowfish.EngineOptions{ShardBlock: block})
-		if err != nil {
-			return fmt.Errorf("eval: shard bench %s run %d: %w", label, r, err)
-		}
-		if _, err := engShard.Prepare(warmup, blowfish.Options{}); err != nil {
-			return fmt.Errorf("eval: shard bench %s run %d: %w", label, r, err)
-		}
-		start = time.Now()
-		shard, err = engShard.Prepare(w, blowfish.Options{})
-		if err != nil {
-			return fmt.Errorf("eval: shard bench %s run %d: %w", label, r, err)
-		}
-		shardSec = math.Min(shardSec, time.Since(start).Seconds())
-	}
 	x := make([]float64, k)
 	data := src.Split()
 	for i := range x {
 		x[i] = math.Floor(data.Uniform() * 20)
 	}
-	got, err := shard.AnswerWith(ctx, nil, x, 0.5, blowfish.NewSource(o.Seed))
-	if err != nil {
-		return fmt.Errorf("eval: shard bench %s: %w", label, err)
+	var want []float64
+	// Each call times the strategy compile alone: its untimed setup opens a
+	// fresh engine (compiles are cached per engine) and warms the shared
+	// policy transform with a 1-query Prepare, so the timed Prepare measures
+	// only the per-query support discovery and CSR construction being
+	// sharded.
+	compile := func(engine string, shardBlock int) eval.Timed {
+		var eng *blowfish.Engine
+		var pl *blowfish.Plan
+		fail := func(i int, err error) error {
+			return fmt.Errorf("eval: shard bench %s %s compile %d: %w", label, engine, i, err)
+		}
+		return eval.Timed{
+			Setup: func(i int) (err error) {
+				if eng, err = blowfish.Open(pol, blowfish.EngineOptions{ShardBlock: shardBlock}); err == nil {
+					_, err = eng.Prepare(warmup, blowfish.Options{})
+				}
+				if err != nil {
+					return fail(i, err)
+				}
+				return nil
+			},
+			Run: func(i int) (err error) {
+				if pl, err = eng.Prepare(w, blowfish.Options{}); err != nil {
+					return fail(i, err)
+				}
+				return nil
+			},
+			Check: func(i int) error {
+				got, err := pl.AnswerWith(context.Background(), nil, x, 0.5, blowfish.NewSource(o.Seed))
+				if err != nil {
+					return fail(i, err)
+				}
+				if want == nil {
+					want = got
+					return nil
+				}
+				return eval.Within(fmt.Sprintf("shard bench %s %s compile %d vs serial", label, engine, i), got, want, 1e-9)
+			},
+		}
 	}
-	want, err := serial.AnswerWith(ctx, nil, x, 0.5, blowfish.NewSource(o.Seed))
+	serialSec, err := eval.SecondsPerCall(o.Runs, compile("serial", -1))
 	if err != nil {
-		return fmt.Errorf("eval: shard bench %s: %w", label, err)
+		return err
 	}
-	if err := compareAnswers(label, "compile", 0, got, want); err != nil {
+	shardSec, err := eval.SecondsPerCall(o.Runs, compile("sharded", block))
+	if err != nil {
 		return err
 	}
 	t.Rows = append(t.Rows, label)
-	t.Cells = append(t.Cells, []float64{serialSec, shardSec, ratio(serialSec, shardSec)})
+	t.Cells = append(t.Cells, []float64{serialSec, shardSec, serialSec / shardSec})
 	return nil
-}
-
-// compareAnswers is the in-loop equivalence gate: any sharded-vs-monolithic
-// drift beyond 1e-9 fails the whole experiment.
-func compareAnswers(label, what string, run int, got, want []float64) error {
-	if len(got) != len(want) {
-		return fmt.Errorf("eval: shard bench %s %s run %d: %d answers vs %d", label, what, run, len(got), len(want))
-	}
-	for i := range want {
-		if diff := math.Abs(got[i] - want[i]); diff > 1e-9 {
-			return fmt.Errorf("eval: shard bench %s %s run %d query %d: sharded %v vs monolithic %v (|diff| %g > 1e-9)",
-				label, what, run, i, got[i], want[i], diff)
-		}
-	}
-	return nil
-}
-
-// ratio returns base/new, the higher-is-better speedup, or NaN when the new
-// path measured zero.
-func ratio(base, new float64) float64 {
-	if new <= 0 {
-		return math.NaN()
-	}
-	return base / new
 }

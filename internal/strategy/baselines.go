@@ -112,8 +112,8 @@ func DPPriveletRangeKd(dims []int) Algorithm {
 // a locality-preserving boustrophedon (snake) order and running 1-D DAWA on
 // the flattened histogram; rectangle answers are assembled row by row. The
 // published DAWA uses a Hilbert ordering for 2-D — the snake order is the
-// stdlib-only substitution recorded in DESIGN.md and preserves the
-// clustered-data advantage the experiments exercise.
+// stdlib-only substitution recorded in ARCHITECTURE.md "Substitutions" and
+// preserves the clustered-data advantage the experiments exercise.
 func DPDawaRangeKd(dims []int) Algorithm {
 	if len(dims) != 2 {
 		panic("strategy: DPDawaRangeKd supports 2-D grids")
