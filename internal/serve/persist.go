@@ -215,7 +215,7 @@ func (s *Server) charge(tenant, ikey string, acct *blowfish.Accountant, per blow
 //     unacknowledged; the daemon goes read-only and rejects further
 //     updates, so no divergent history is ever acknowledged. The body is
 //     recorded in the dedupe table and returned for the reply.
-func (s *Server) updateStream(entry *planEntry, a admission, req *UpdateRequest) (UpdateResponse, []byte, error) {
+func (s *Server) updateStream(entry *planEntry, a admission, req *updateWire) (UpdateResponse, []byte, error) {
 	pl := entry.plan
 	durable := s.store != nil
 	if durable {
@@ -296,7 +296,7 @@ func (s *Server) planFromKey(raw string) (*planEntry, string, error) {
 	if err != nil {
 		return nil, "", err
 	}
-	entry, err := s.plan(key, spec.Policy, spec.Workload, spec.Options)
+	entry, err := s.plan(key)
 	if err != nil {
 		return nil, "", fmt.Errorf("serve: re-preparing plan for recovery: %w", err)
 	}

@@ -29,11 +29,11 @@
 // Typed library errors map to HTTP statuses and stable wire codes
 // consistently (see statusFor and writeError — budget_exhausted and
 // rate_limited are 429, domain_mismatch/invalid_request/bad_json 400,
-// disconnected_policy 422, stream_exists 409, no_stream 404,
-// deadline_exceeded 504, canceled and not_ready and read_only 503,
-// panic/internal 500), and every handler runs behind a recover barrier so a
-// panicking request degrades to a 500 response instead of killing the
-// process.
+// too_large 413 (a body over the 64 MiB cap), disconnected_policy 422,
+// stream_exists 409, no_stream 404, deadline_exceeded 504, canceled and
+// not_ready and read_only 503, panic/internal 500), and every handler runs
+// behind a recover barrier so a panicking request degrades to a 500
+// response instead of killing the process.
 package serve
 
 import (
@@ -62,7 +62,8 @@ type Config struct {
 	// first use. The zero value means unlimited (spend tracked, never
 	// enforced).
 	TenantBudget blowfish.Budget
-	// PlanCacheSize caps the compiled-plan LRU (default 64 entries).
+	// PlanCacheSize caps the compiled-plan LRU (default 64 entries), and
+	// the plan alias that maps raw request spec bytes to plan keys.
 	PlanCacheSize int
 	// EngineCacheSize caps the per-policy engine LRU (default 16 entries).
 	EngineCacheSize int
@@ -169,6 +170,10 @@ type Stats struct {
 	PlanCacheMisses int64 `json:"plan_cache_misses"`
 	PlanCacheSize   int64 `json:"plan_cache_size"`
 	PlanEvictions   int64 `json:"plan_cache_evictions"`
+	// Plan alias lookups: a hit skipped decoding the request's specs and
+	// computing the plan key, because the same spec bytes arrived before.
+	PlanAliasHits   int64 `json:"plan_alias_hits"`
+	PlanAliasMisses int64 `json:"plan_alias_misses"`
 	Tenants         int64 `json:"tenants"`
 	// Failure-resilience counters: admitted-but-executing requests, work
 	// shed at the admission gate (queue full / cold compile under pressure
@@ -201,11 +206,13 @@ type Server struct {
 	cfg     Config
 	mux     *http.ServeMux
 	plans   *lru[*planEntry]
+	aliases *lru[planRef] // raw spec bytes → canonical plan key (see wire.go)
 	engines *lru[*blowfish.Engine]
 	streams *lru[*blowfish.Stream]
 	limiter *rateLimiter // nil when rate limiting is disabled
 	gate    *gate        // nil when the in-flight cap is disabled
 	idem    *idemTable
+	maxBody int64 // request body cap: maxBodyBytes; tests lower it
 
 	// testHook, when non-nil, runs with the request's context at named
 	// points of every admitted answer request: "admit" after the gate,
@@ -270,11 +277,13 @@ func New(cfg Config) *Server {
 	s := &Server{
 		cfg:     cfg,
 		plans:   newLRU[*planEntry](cfg.PlanCacheSize),
+		aliases: newLRU[planRef](cfg.PlanCacheSize),
 		engines: newLRU[*blowfish.Engine](cfg.EngineCacheSize),
 		streams: newLRU[*blowfish.Stream](cfg.StreamCacheSize),
 		limiter: newRateLimiter(cfg.TenantQPS, cfg.TenantBurst, nil),
 		gate:    newGate(cfg.MaxInFlight, cfg.MaxQueue),
 		idem:    newIdemTable(cfg.IdemMax, cfg.IdemTTL, nil),
+		maxBody: maxBodyBytes,
 		tenants: map[string]*blowfish.Accountant{},
 		src:     blowfish.NewSource(cfg.Seed),
 	}
@@ -329,6 +338,8 @@ func (s *Server) Stats() Stats {
 		PlanCacheMisses: s.plans.misses.Load(),
 		PlanCacheSize:   int64(s.plans.len()),
 		PlanEvictions:   s.plans.evictions.Load(),
+		PlanAliasHits:   s.aliases.hits.Load(),
+		PlanAliasMisses: s.aliases.misses.Load(),
 		Tenants:         tenants,
 		InFlight:        int64(s.gate.inFlight()),
 		ShedOverload:    s.shedOverload.Load(),
@@ -699,17 +710,22 @@ func engineKey(ps PolicySpec) (string, error) {
 	return string(raw), nil
 }
 
-// plan returns the cached compiled plan for (pol, wl, o), compiling (and
-// caching the policy's Engine) on first use. key is planKey's exact cache
-// key for the same specs; callers compute it once per request.
-func (s *Server) plan(key string, pol PolicySpec, wl WorkloadSpec, o OptionsSpec) (*planEntry, error) {
+// plan returns the cached compiled plan for a canonical plan key, compiling
+// it (and caching the policy's Engine) on first use. A miss parses the
+// specs back out of the key, so requests and WAL replay share this one
+// build entry.
+func (s *Server) plan(key string) (*planEntry, error) {
 	entry, _, err := s.plans.getOrCreate(key, func() (*planEntry, error) {
-		ekey, err := engineKey(pol)
+		var spec planKeySpec
+		if err := json.Unmarshal([]byte(key), &spec); err != nil {
+			return nil, fmt.Errorf("serve: unparseable plan key %q: %w", key, err)
+		}
+		ekey, err := engineKey(spec.Policy)
 		if err != nil {
 			return nil, err
 		}
 		eng, _, err := s.engines.getOrCreate(ekey, func() (*blowfish.Engine, error) {
-			p, err := pol.build()
+			p, err := spec.Policy.build()
 			if err != nil {
 				return nil, err
 			}
@@ -718,11 +734,11 @@ func (s *Server) plan(key string, pol PolicySpec, wl WorkloadSpec, o OptionsSpec
 		if err != nil {
 			return nil, err
 		}
-		w, err := wl.build(eng.Policy().K)
+		w, err := spec.Workload.build(eng.Policy().K)
 		if err != nil {
 			return nil, err
 		}
-		opts, err := o.build()
+		opts, err := spec.Options.build()
 		if err != nil {
 			return nil, err
 		}
@@ -756,42 +772,41 @@ func (s *Server) handleBudget(w http.ResponseWriter, r *http.Request) {
 	})
 }
 
-// request is the part of a decoded AnswerRequest or UpdateRequest that the
-// admission preamble reads.
-type request interface {
-	head() (tenant string, timeoutMS int64, spec planKeySpec)
-}
-
-func (q *AnswerRequest) head() (string, int64, planKeySpec) {
-	return q.Tenant, q.TimeoutMS, planKeySpec{Policy: q.Policy, Workload: q.Workload, Options: q.Options}
-}
-
 // admission is a request that passed the preamble.
 type admission struct {
-	ctx       context.Context // carries the request's deadline
-	tenant    string          // "default" when the request names none
-	ikey      string          // Idempotency-Key; "" for unkeyed requests
-	key, hash string          // planKey's exact cache key and printable hash
+	ctx     context.Context // carries the request's deadline
+	tenant  string          // "default" when the request names none
+	ikey    string          // Idempotency-Key; "" for unkeyed requests
+	specRef                 // the canonical plan key, its hash and alias bytes
 }
 
 // preamble runs the steps /v1/answer and /v1/update share, in order: count
-// the request, readiness, decode into req, deadline, tenant, Idempotency-Key
-// cap, rate limit, plan key, idempotent replay or claim, admission gate.
-// Each step writes its own rejection. Then handle runs with the admitted
-// request; the gate slot, the idempotency claim and the deadline are
-// released after it returns (or panics), in that order.
-func (s *Server) preamble(w http.ResponseWriter, r *http.Request, req request, handle func(admission)) {
+// the request, readiness, decode into req and resolve its plan key (see
+// wire.go), deadline, tenant, Idempotency-Key cap, rate limit, idempotent
+// replay or claim, admission gate. Each step writes its own rejection.
+// Then handle runs with the admitted request; the gate slot, the
+// idempotency claim and the deadline are released after it returns (or
+// panics), in that order.
+func (s *Server) preamble(w http.ResponseWriter, r *http.Request, req wireBody, handle func(admission)) {
 	s.requests.Add(1)
 	if !s.notReady(w) {
 		return
 	}
-	if err := json.NewDecoder(r.Body).Decode(req); err != nil {
+	ref, err := s.decode(w, r, req)
+	if err != nil {
 		s.errorCount.Add(1)
+		var tooLarge *http.MaxBytesError
+		if errors.As(err, &tooLarge) {
+			writeError(w, http.StatusRequestEntityTooLarge, "too_large",
+				fmt.Sprintf("request body exceeds the %d-byte cap", tooLarge.Limit), nil)
+			return
+		}
 		writeError(w, http.StatusBadRequest, "bad_json", fmt.Sprintf("decoding request: %v", err), nil)
 		return
 	}
-	tenant, timeoutMS, spec := req.head()
-	ctx, cancel, err := requestContext(r.Context(), timeoutMS)
+	head := req.wire()
+	tenant := head.Tenant
+	ctx, cancel, err := requestContext(r.Context(), head.TimeoutMS)
 	defer cancel()
 	if err != nil {
 		s.fail(w, err)
@@ -813,11 +828,6 @@ func (s *Server) preamble(w http.ResponseWriter, r *http.Request, req request, h
 	if !s.allowTenant(w, tenant) {
 		return
 	}
-	key, hash, err := planKey(spec.Policy, spec.Workload, spec.Options)
-	if err != nil {
-		s.fail(w, err)
-		return
-	}
 	if ikey != "" {
 		// Replay or claim before admission: a replay costs no gate slot,
 		// and duplicate executions wait on the leader without holding one.
@@ -835,19 +845,19 @@ func (s *Server) preamble(w http.ResponseWriter, r *http.Request, req request, h
 		// and also covers panics (waiters take over instead of hanging).
 		defer s.idem.abandon(idemKey(tenant, ikey))
 	}
-	release, admitted := s.admit(ctx, w, key)
+	release, admitted := s.admit(ctx, w, ref.key)
 	if !admitted {
 		return
 	}
 	defer release()
-	handle(admission{ctx: ctx, tenant: tenant, ikey: ikey, key: key, hash: hash})
+	handle(admission{ctx: ctx, tenant: tenant, ikey: ikey, specRef: ref})
 }
 
 func (s *Server) handleAnswer(w http.ResponseWriter, r *http.Request) {
-	var req AnswerRequest
+	var req answerWire
 	s.preamble(w, r, &req, func(a admission) {
 		s.at(a.ctx, "admit")
-		entry, err := s.plan(a.key, req.Policy, req.Workload, req.Options)
+		entry, err := s.planFor(a.specRef)
 		if err != nil {
 			s.fail(w, err)
 			return

@@ -56,14 +56,10 @@ type UpdateResponse struct {
 	Recomputes int64 `json:"recomputes"`
 }
 
-func (q *UpdateRequest) head() (string, int64, planKeySpec) {
-	return q.Tenant, q.TimeoutMS, planKeySpec{Policy: q.Policy, Workload: q.Workload, Options: q.Options}
-}
-
 func (s *Server) handleUpdate(w http.ResponseWriter, r *http.Request) {
-	var req UpdateRequest
+	var req updateWire
 	s.preamble(w, r, &req, func(a admission) {
-		entry, err := s.plan(a.key, req.Policy, req.Workload, req.Options)
+		entry, err := s.planFor(a.specRef)
 		if err != nil {
 			s.fail(w, err)
 			return

@@ -106,15 +106,19 @@ func release(name string, w *workload.Workload, op sparse.Operator, body func(x 
 
 // truthPlusNoise assembles the Prepared of a strategy whose release is the
 // exact workload answers W·x, computed by truth, plus one per-release noise
-// pass that adds each query's strategy noise in place. refresh is the
-// strategy's streaming hook, or nil.
+// pass that adds each query's strategy noise in place. The pass is skipped
+// at eps <= 0: every noiseInto builds oracles that draw nothing and add
+// zero there, so a noiseless release is W·x without building them. refresh
+// is the strategy's streaming hook, or nil.
 func truthPlusNoise(name string, w *workload.Workload, truth sparse.Operator,
 	noiseInto func(out []float64, eps float64, src *noise.Source),
 	refresh func(x []float64) (*State, error)) *Prepared {
 	p := release(name, w, truth, func(x []float64, eps float64, src *noise.Source) []float64 {
 		out := make([]float64, w.Len())
 		truth.Apply(out, x)
-		noiseInto(out, eps, src)
+		if eps > 0 {
+			noiseInto(out, eps, src)
+		}
 		return out
 	})
 	p.refresh = refresh

@@ -87,6 +87,43 @@ func TestGridPolicyRange2DExact(t *testing.T) {
 	}
 }
 
+// TestGridPolicyRange2DNoiseless pins the eps <= 0 shortcut of
+// truthPlusNoise and the maintained summed-area state: a noiseless grid
+// release is W·x bitwise and draws nothing from its Source.
+func TestGridPolicyRange2DNoiseless(t *testing.T) {
+	rng := rand.New(rand.NewSource(8))
+	dims := []int{9, 11}
+	x := randomX(rng, 99)
+	w := workload.AllRangesKd(dims)
+	p, err := GridPolicyRange2D(dims, mech.PriveletKind, Config{}).Prepare(w)
+	if err != nil {
+		t.Fatal(err)
+	}
+	st, err := p.Refresh(x)
+	if err != nil {
+		t.Fatal(err)
+	}
+	truth := w.Answers(x)
+	for name, answer := range map[string]func(*noise.Source) ([]float64, error){
+		"static": func(src *noise.Source) ([]float64, error) { return p.Answer(x, 0, src) },
+		"stream": func(src *noise.Source) ([]float64, error) { return st.Answer(0, src) },
+	} {
+		src := noise.NewSource(3)
+		got, err := answer(src)
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		for i := range truth {
+			if math.Float64bits(got[i]) != math.Float64bits(truth[i]) {
+				t.Fatalf("%s: query %d = %g, want W·x = %g bitwise", name, i, got[i], truth[i])
+			}
+		}
+		if src.Int63() != noise.NewSource(3).Int63() {
+			t.Fatalf("%s: a noiseless release drew from its Source", name)
+		}
+	}
+}
+
 func TestThetaGridRange2DExact(t *testing.T) {
 	rng := rand.New(rand.NewSource(5))
 	for _, tc := range []struct {

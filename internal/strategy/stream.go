@@ -250,7 +250,9 @@ func (g *satState) importState(artifacts []float64) error { return g.sat.Restore
 
 func (g *satState) answer(eps float64, src *noise.Source) ([]float64, error) {
 	out := g.eval(g.sat.Table())
-	g.noise(out, eps, src)
+	if eps > 0 { // as in truthPlusNoise: the oracles add nothing at eps <= 0
+		g.noise(out, eps, src)
+	}
 	return out, nil
 }
 
