@@ -128,3 +128,45 @@ func BenchmarkAnswerDecode(b *testing.B) {
 		}
 	})
 }
+
+// streamDurableBodies returns /v1/update bodies shaped like e2ebench's
+// stream-durable traffic on its line-4096 cumulative plan: "delta" feeds
+// four cells, "base" seeds a new stream with 4096 counts.
+func streamDurableBodies(seed int64) map[string][]byte {
+	rng := rand.New(rand.NewSource(seed))
+	req := UpdateRequest{Tenant: "t00", Policy: PolicySpec{Kind: "line", K: 4096}, Workload: WorkloadSpec{Kind: "cumulative"}}
+	seedReq := req
+	seedReq.Base, seedReq.Delta = make([]float64, 4096), DeltaSpec{Cells: []int{}, Values: []float64{}}
+	for i := range seedReq.Base {
+		seedReq.Base[i] = float64(rng.Intn(50))
+	}
+	for range 4 {
+		req.Delta.Cells = append(req.Delta.Cells, rng.Intn(4096))
+		req.Delta.Values = append(req.Delta.Values, float64(1+rng.Intn(3)))
+	}
+	return map[string][]byte{"delta": mustJSON(req), "base": mustJSON(seedReq)}
+}
+
+// BenchmarkUpdateDecode times the decode stage of /v1/update on an alias
+// hit, for a four-cell delta and for a 4096-count base seed.
+func BenchmarkUpdateDecode(b *testing.B) {
+	bodies := streamDurableBodies(1)
+	for _, name := range []string{"delta", "base"} {
+		b.Run(name, func(b *testing.B) {
+			srv := New(Config{Seed: 1})
+			// Compile the plan and fill the alias.
+			rec := httptest.NewRecorder()
+			srv.ServeHTTP(rec, httptest.NewRequest("POST", "/v1/update", bytes.NewReader(bodies[name])))
+			if rec.Code != http.StatusOK {
+				b.Fatalf("%s: %d %s", name, rec.Code, rec.Body)
+			}
+			b.SetBytes(int64(len(bodies[name])))
+			for b.Loop() {
+				var req updateWire
+				if _, err := srv.decode(rec, httptest.NewRequest("POST", "/v1/update", bytes.NewReader(bodies[name])), &req); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+	}
+}

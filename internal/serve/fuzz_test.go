@@ -62,6 +62,42 @@ func FuzzAnswerWire(f *testing.F) {
 	f.Add([]byte(`{"policy":5,"workload":{"kind":"histogram"},"x":[1]}`), "")
 	f.Add([]byte(`{"policy":{"kind":"line"},"policy":"line","x":[1]}`), "")
 	f.Add([]byte(` { "policy" : { "k" : 4 , "kind" : "line" } , "workload" : {"kind":"histogram"} , "x" : [ 1 , 2 ,3,4 ] } trailing`), "")
+	// Edges of the hand-written decode pass: escaped and Unicode-folded keys
+	// (U+212A KELVIN SIGN folds to k), escaped and invalid-UTF-8 strings,
+	// number grammar, the exact-integer path (-0, 15 and 16 digits), the
+	// nesting limit, scalars of the wrong type, null and repeated scalars,
+	// and a valid body cut short.
+	f.Add([]byte(`{"ten\u0061nt":"t","policy":{"kind":"line","k":4},"wor\u212Aload":{"kind":"histogram"},"\u0078":[1,2,3,4],"epsilon":0}`), "")
+	f.Add([]byte(`{"tenant":"t\u00e9\n\"\ud800","policy":{"kind":"line","k":2},"workload":{"kind":"histogram"},"x":[0,0]}`), "")
+	f.Add([]byte("{\"tenant\":\"caf\xe9\xff\",\"policy\":{\"kind\":\"line\",\"k\":2},\"workload\":{\"kind\":\"histogram\"},\"x\":[0,0]}"), "")
+	for _, tok := range []string{"01", "-", "1.", ".5", "+1", "1e", "1e+", "0x1", "Infinity", "1_0"} {
+		f.Add([]byte(`{"policy":{"kind":"line","k":2},"workload":{"kind":"histogram"},"x":[`+tok+`,0]}`), "")
+	}
+	f.Add([]byte(`{"policy":{"kind":"line","k":4},"workload":{"kind":"histogram"},"x":[-0,0,-0.0,-0e0],"epsilon":-0}`), "")
+	f.Add([]byte(`{"policy":{"kind":"line","k":4},"workload":{"kind":"histogram"},"x":[999999999999999,-999999999999999,1000000000000000,-9999999999999999]}`), "")
+	f.Add([]byte(`{"policy":{"kind":"line","k":2},"workload":{"kind":"histogram"},"x":[100000000000000000000,12345678901234567890123,0]}`), "")
+	f.Add([]byte(`{"pad":`+strings.Repeat("[", maxDepth-1)+strings.Repeat("]", maxDepth-1)+`,"policy":{"kind":"line","k":2},"workload":{"kind":"histogram"},"x":[0,0]}`), "")
+	f.Add([]byte(`{"pad":`+strings.Repeat("[", maxDepth)+strings.Repeat("]", maxDepth)+`,"policy":{"kind":"line","k":2},"workload":{"kind":"histogram"},"x":[0,0]}`), "")
+	f.Add([]byte(`{"pad":{"a":[{"b":`+strings.Repeat(`{"c":[`, maxDepth/2)+`]}`+strings.Repeat(`]}`, maxDepth/2)+`]}}`), "")
+	for _, field := range []string{`"epsilon":"0.5"`, `"timeout_ms":1.5`, `"timeout_ms":1e3`, `"timeout_ms":-0`, `"timeout_ms":9223372036854775808`, `"stream":1`, `"stream":"true"`, `"tenant":5`, `"tenant":["t"]`, `"epsilon":1e400`, `"x":[[1]]`} {
+		f.Add([]byte(`{"policy":{"kind":"line","k":2},"workload":{"kind":"histogram"},`+field+`,"x":[0,0]}`), "")
+	}
+	f.Add([]byte(`{"tenant":"a","tenant":null,"epsilon":0.5,"epsilon":null,"stream":true,"stream":null,"timeout_ms":2000,"timeout_ms":null,"policy":{"kind":"line","k":2},"workload":{"kind":"histogram"},"x":[0,0]}`), "")
+	f.Add([]byte(`{"tenant":"a","tenant":"b","epsilon":0.5,"epsilon":0.25,"stream":true,"stream":false,"timeout_ms":1500,"timeout_ms":3000,"policy":{"kind":"line","k":2},"workload":{"kind":"histogram"},"x":[0,0]}`), "")
+	f.Add([]byte(`null`), "")
+	f.Add([]byte(` nullx`), "")
+	f.Add([]byte(`{}[`), "")
+	f.Add([]byte(`{"policy":{"kind":"line","k":2},}`), "")
+	f.Add([]byte(`{"policy":{"kind":"line","k":2},"x":[0,0,]}`), "")
+	f.Add([]byte("{\"tenant\":\"a\tb\"}"), "")
+	f.Add([]byte(`{"pad":"\q"}`), "")
+	f.Add([]byte(`{"pad":"\u12xy"}`), "")
+	f.Add([]byte(`{"pad":"\u123`), "")
+	f.Add([]byte(`{"pad":["\u00e9\/\b\f\n\r\t\\",true,false,null,{}],"policy":{"kind":"line","k":2},"workload":{"kind":"histogram"},"x":[0,0]}`), "")
+	valid := `{"tenant":"t","policy":{"kind":"line","k":4},"workload":{"kind":"ranges","ranges":[[0,1],[2,3]]},"epsilon":0.5,"x":[1,-2.5e1,null,4]}`
+	for _, n := range []int{1, 2, 11, 23, 40, 70, 100, len(valid) - 8, len(valid) - 1} {
+		f.Add([]byte(valid[:n]), "")
+	}
 
 	srv := New(Config{Seed: 1})
 	f.Fuzz(func(t *testing.T, data []byte, ikey string) {
@@ -227,6 +263,21 @@ func FuzzUpdateWire(f *testing.F) {
 	f.Add([]byte(`{"policy":{"kind":"line","k":2},"workload":{"kind":"histogram"},"base":[0,"1"],"delta":{}}`), "")
 	f.Add([]byte(`{"POLICY":{"kind":"line","k":2},"WORKLOAD":{"kind":"histogram"},"Base":[1,2],"DELTA":{"CELLS":[1],"Values":[3]}}`), "")
 	f.Add([]byte(`{"policy":5,"delta":{}}`), "")
+	// Edges of the hand-written decode pass, as in FuzzAnswerWire, on the
+	// update envelope and its delta.
+	f.Add([]byte(`{"ten\u0061nt":"t","policy":{"kind":"line","k":4},"wor\u212Aload":{"kind":"histogram"},"d\u0065lta":{"c\u0065lls":[1],"VALUES":[2]}}`), "")
+	f.Add([]byte("{\"tenant\":\"\xff\",\"policy\":{\"kind\":\"line\",\"k\":2},\"workload\":{\"kind\":\"histogram\"},\"delta\":{}}"), "")
+	for _, field := range []string{`"cells":[1.0]`, `"cells":[1e0]`, `"cells":[-0]`, `"cells":["1"]`, `"cells":[9223372036854775808]`, `"cells":1`, `"values":[01]`, `"values":[-]`, `"values":[.5]`} {
+		f.Add([]byte(`{"policy":{"kind":"line","k":2},"workload":{"kind":"histogram"},"delta":{`+field+`}}`), "")
+	}
+	f.Add([]byte(`{"policy":{"kind":"line","k":4},"workload":{"kind":"histogram"},"delta":{"cells":[0,1,2],"values":[1,2,3]},"delta":{"cells":[3],"values":[4]},"delta":{"cells":[null,null],"values":[null,5]},"delta":null}`), "")
+	f.Add([]byte(`{"policy":{"kind":"line","k":4},"workload":{"kind":"histogram"},"base":[1,2,3,4],"base":[],"delta":{"cells":null,"values":null}}`), "")
+	f.Add([]byte(`{"policy":{"kind":"line","k":2},"workload":{"kind":"histogram"},"delta":[],"base":[0,0]}`), "")
+	f.Add([]byte(`{"delta":`+strings.Repeat(`{"d":`, maxDepth)+`0`+strings.Repeat("}", maxDepth)+`}`), "")
+	valid := `{"tenant":"t","policy":{"kind":"line","k":4},"workload":{"kind":"histogram"},"base":[1,2,3,4],"delta":{"cells":[0,3],"values":[1.5,-2]}}`
+	for _, n := range []int{1, 12, 30, 60, 90, 110, len(valid) - 3, len(valid) - 1} {
+		f.Add([]byte(valid[:n]), "")
+	}
 
 	srv := New(Config{Seed: 1})
 	f.Fuzz(func(t *testing.T, data []byte, ikey string) {

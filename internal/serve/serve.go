@@ -205,10 +205,10 @@ type Stats struct {
 type Server struct {
 	cfg     Config
 	mux     *http.ServeMux
-	plans   *lru[*planEntry]
-	aliases *lru[planRef] // raw spec bytes → canonical plan key (see wire.go)
-	engines *lru[*blowfish.Engine]
-	streams *lru[*blowfish.Stream]
+	plans   *lru[string, *planEntry]
+	aliases *lru[uint64, aliasEntry] // raw spec bytes → canonical plan key (see wire.go)
+	engines *lru[string, *blowfish.Engine]
+	streams *lru[string, *blowfish.Stream]
 	limiter *rateLimiter // nil when rate limiting is disabled
 	gate    *gate        // nil when the in-flight cap is disabled
 	idem    *idemTable
@@ -276,10 +276,10 @@ func New(cfg Config) *Server {
 	cfg = cfg.withDefaults()
 	s := &Server{
 		cfg:     cfg,
-		plans:   newLRU[*planEntry](cfg.PlanCacheSize),
-		aliases: newLRU[planRef](cfg.PlanCacheSize),
-		engines: newLRU[*blowfish.Engine](cfg.EngineCacheSize),
-		streams: newLRU[*blowfish.Stream](cfg.StreamCacheSize),
+		plans:   newLRU[string, *planEntry](cfg.PlanCacheSize),
+		aliases: newLRU[uint64, aliasEntry](cfg.PlanCacheSize),
+		engines: newLRU[string, *blowfish.Engine](cfg.EngineCacheSize),
+		streams: newLRU[string, *blowfish.Stream](cfg.StreamCacheSize),
 		limiter: newRateLimiter(cfg.TenantQPS, cfg.TenantBurst, nil),
 		gate:    newGate(cfg.MaxInFlight, cfg.MaxQueue),
 		idem:    newIdemTable(cfg.IdemMax, cfg.IdemTTL, nil),

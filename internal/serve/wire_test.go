@@ -12,36 +12,67 @@ import (
 	blowfish "github.com/privacylab/blowfish"
 )
 
-// TestWireTagsMatchExported keeps each private wire struct in step with
-// the exported request type clients encode: same fields, same JSON tags.
+// TestWireTagsMatchExported keeps each wire struct in step with the
+// exported request type clients encode: the decoder's keys for it are that
+// type's JSON names, and it has a field of the same name and type for each
+// of them except the specs, which the decoder keeps as raw bytes.
 func TestWireTagsMatchExported(t *testing.T) {
-	for _, pair := range []struct{ wire, exported any }{
-		{answerWire{}, AnswerRequest{}},
-		{updateWire{}, UpdateRequest{}},
-		{deltaWire{}, DeltaSpec{}},
+	specs := []string{"Policy", "Workload", "Options"}
+	for _, c := range []struct {
+		wire, exported any
+		keys           []string
+	}{
+		{answerWire{}, AnswerRequest{}, answerKeys},
+		{updateWire{}, UpdateRequest{}, updateKeys},
+		{deltaWire{}, DeltaSpec{}, deltaKeys},
 	} {
-		got, want := jsonTags(reflect.TypeOf(pair.wire)), jsonTags(reflect.TypeOf(pair.exported))
-		if !maps.Equal(got, want) {
-			t.Errorf("%T tags %v, want %T's %v", pair.wire, got, pair.exported, want)
+		exported, wire := fields(reflect.TypeOf(c.exported)), fields(reflect.TypeOf(c.wire))
+		var names []string
+		for name, f := range exported {
+			names = append(names, strings.Split(f.Tag.Get("json"), ",")[0])
+			w, ok := wire[name]
+			switch {
+			case slices.Contains(specs, name):
+				if ok {
+					t.Errorf("%T has spec field %s, which the decoder keeps as raw bytes", c.wire, name)
+				}
+			case !ok || w.Type != f.Type && (w.Type.Kind() != reflect.Struct || f.Type.Kind() != reflect.Struct):
+				// Same type, or a wire struct for a struct (deltaWire for DeltaSpec).
+				t.Errorf("%T.%s does not match %T.%s (%v)", c.wire, name, c.exported, name, f.Type)
+			}
+			delete(wire, name)
+		}
+		if len(wire) != 0 {
+			t.Errorf("%T has fields %v that %T lacks", c.wire, slices.Collect(maps.Keys(wire)), c.exported)
+		}
+		if !equalSets(names, c.keys) {
+			t.Errorf("%T decodes keys %v, want %T's JSON names %v", c.wire, c.keys, c.exported, names)
 		}
 	}
 }
 
-// jsonTags maps every field encoding/json sees, embedded fields promoted,
-// to its json tag.
-func jsonTags(t reflect.Type) map[string]string {
-	tags := map[string]string{}
+// fields maps every field encoding/json sees, embedded fields promoted, to
+// its description.
+func fields(t reflect.Type) map[string]reflect.StructField {
+	out := map[string]reflect.StructField{}
 	for _, f := range reflect.VisibleFields(t) {
 		if f.IsExported() && !f.Anonymous {
-			tags[f.Name] = f.Tag.Get("json")
+			out[f.Name] = f
 		}
 	}
-	return tags
+	return out
 }
 
-// TestBodyCap: a body one byte over the cap is refused 413 too_large on
-// both endpoints, counted as an error, and spends nothing; a body at the
-// cap gets past the decode. The cap is lowered so the test stays small.
+func equalSets(a, b []string) bool {
+	a, b = slices.Sorted(slices.Values(a)), slices.Sorted(slices.Values(b))
+	return slices.Equal(a, b)
+}
+
+// TestBodyCap: a body over the cap is refused 413 too_large on both
+// endpoints, counted as an error, and spends nothing, whatever it holds:
+// one byte of a string past the cap, or a valid request whose padding
+// after the JSON value runs past it. A body at the cap gets past the
+// decode. The cap is lowered so the test stays small.
 func TestBodyCap(t *testing.T) {
 	if s := New(Config{}); s.maxBody != 64<<20 {
 		t.Fatalf("default body cap %d, want 64 MiB", s.maxBody)
@@ -51,20 +82,31 @@ func TestBodyCap(t *testing.T) {
 		const head, tail = `{"tenant":"`, `"}`
 		return []byte(head + strings.Repeat("a", int(n)-len(head)-len(tail)) + tail)
 	}
+	valid := map[string][]byte{
+		"/v1/answer": []byte(`{"policy":{"kind":"line","k":4},"workload":{"kind":"histogram"},"epsilon":0.5,"x":[0,0,0,0]}`),
+		"/v1/update": []byte(`{"policy":{"kind":"line","k":4},"workload":{"kind":"histogram"},"delta":{"cells":[0],"values":[1]}}`),
+	}
 	for _, path := range []string{"/v1/answer", "/v1/update"} {
 		s := New(Config{Seed: 1, TenantBudget: blowfish.Budget{Epsilon: 1}})
 		s.maxBody = 1 << 10
-		rec := postPath(t, s, path, body(s.maxBody+1))
-		var er ErrorResponse
-		if err := json.Unmarshal(rec.Body.Bytes(), &er); err != nil || rec.Code != http.StatusRequestEntityTooLarge || er.Code != "too_large" {
-			t.Fatalf("%s at cap+1: %d %s (err %v)", path, rec.Code, rec.Body, err)
-		}
-		if st := s.Stats(); st.Errors != 1 || st.Tenants != 0 || st.Answered != 0 || st.Updates != 0 {
-			t.Fatalf("%s at cap+1: stats %+v, want one error and nothing served", path, st)
+		padded := append(slices.Clip(valid[path]), strings.Repeat(" ", 4<<10)...)
+		for i, over := range [][]byte{body(s.maxBody + 1), padded} {
+			rec := postPath(t, s, path, over)
+			var er ErrorResponse
+			if err := json.Unmarshal(rec.Body.Bytes(), &er); err != nil || rec.Code != http.StatusRequestEntityTooLarge || er.Code != "too_large" {
+				t.Fatalf("%s, %d-byte body: %d %s (err %v)", path, len(over), rec.Code, rec.Body, err)
+			}
+			if st := s.Stats(); st.Errors != int64(i+1) || st.Tenants != 0 || st.Answered != 0 || st.Updates != 0 {
+				t.Fatalf("%s, %d-byte body: stats %+v, want %d errors and nothing served", path, len(over), st, i+1)
+			}
 		}
 		// At the cap the body decodes; it then fails on its empty policy.
 		if rec := postPath(t, s, path, body(s.maxBody)); rec.Code == http.StatusRequestEntityTooLarge {
 			t.Fatalf("%s at the cap: %d %s", path, rec.Code, rec.Body)
+		}
+		// The valid request itself, under the cap, is served.
+		if rec := postPath(t, s, path, valid[path]); rec.Code != http.StatusOK {
+			t.Fatalf("%s unpadded: %d %s", path, rec.Code, rec.Body)
 		}
 	}
 }
