@@ -10,6 +10,7 @@ import (
 	"strings"
 	"testing"
 
+	"github.com/privacylab/blowfish/internal/mech"
 	"github.com/privacylab/blowfish/internal/noise"
 	"github.com/privacylab/blowfish/internal/policy"
 	"github.com/privacylab/blowfish/internal/workload"
@@ -55,6 +56,12 @@ func baselineCases() []baselineCase {
 	hist := func(*noise.Source) *workload.Workload { return workload.Identity(32) }
 	ranges := func(src *noise.Source) *workload.Workload { return workload.RandomRanges1D(32, 40, src) }
 	rects := func(src *noise.Source) *workload.Workload { return workload.RandomRangesKd(grid, 40, src) }
+	// The Theorem 5.4/5.6 grid cases use non-square grids, so a swap of the
+	// per-dimension sheets cannot go unseen.
+	rectsOn := func(dims []int) func(*noise.Source) *workload.Workload {
+		return func(src *noise.Source) *workload.Workload { return workload.RandomRangesKd(dims, 40, src) }
+	}
+	grid57 := []int{5, 7}
 	return []baselineCase{
 		{"laplace/hist", fixed(DPLaplaceHist()), hist},
 		{"dawa/hist", fixed(DPDawaHist()), hist},
@@ -66,6 +73,14 @@ func baselineCases() []baselineCase {
 			func(*noise.Source) *workload.Workload { return workload.Cumulative(12) }},
 		{"optimize/grid/hist", optimized(policy.Grid(3)),
 			func(*noise.Source) *workload.Workload { return workload.Identity(9) }},
+		{"grid2d/rects/laplace", fixed(GridPolicyRange2D(grid57, mech.CellKind, Config{})), rectsOn(grid57)},
+		{"grid2d/rects/hier", fixed(GridPolicyRange2D(grid57, mech.HierKind, Config{})), rectsOn(grid57)},
+		{"grid2d/rects/privelet", fixed(GridPolicyRange2D(grid57, mech.PriveletKind, Config{})), rectsOn(grid57)},
+		{"gridkd/rects", fixed(GridPolicyRangeKd([]int{3, 4, 5}, Config{})), rectsOn([]int{3, 4, 5})},
+		{"thetagrid/rects", fixed(ThetaGridRange2D([]int{9, 7}, 4, Config{})), rectsOn([]int{9, 7})},
+		// A 3-row grid with cell 3 has a one-row red lattice: no external
+		// sheets along dimension 0.
+		{"thetagrid/rects/flat-lattice", fixed(ThetaGridRange2D([]int{3, 7}, 6, Config{})), rectsOn([]int{3, 7})},
 	}
 }
 
