@@ -70,10 +70,14 @@ gate:
 		$(GO) run ./cmd/blowfishbench -gate $$b -tolerance $(GATE_TOLERANCE) -json $${b%.json}.fresh.json || status=1; \
 	done; exit $$status
 
+# e2ebench/ is its own module, outside ./..., and imports the root package,
+# internal/serve and internal/persist: vet it so an API change there fails
+# here, not at the benchmark's first build. GOPROXY=off as in e2ebench/run.sh.
 lint:
 	@out="$$(gofmt -l .)"; if [ -n "$$out" ]; then \
 		echo "files need gofmt:" >&2; echo "$$out" >&2; exit 1; fi
 	$(GO) vet ./...
+	cd e2ebench && GOPROXY=off GOFLAGS= $(GO) vet ./...
 
 # Documentation hygiene: format + vet, then fail if any internal package is
 # missing a package comment (the godoc landing text for that package).

@@ -295,7 +295,7 @@ func BenchmarkAblationOracleKinds(b *testing.B) {
 	}{{"cell", mech.CellKind}, {"hier", mech.HierKind}, {"privelet", mech.PriveletKind}} {
 		kind := kind
 		b.Run(kind.name, func(b *testing.B) {
-			alg := strategy.GridPolicyRange2D(dims, kind.k, strategy.Config{})
+			alg := strategy.GridPolicyRangeKd(dims, kind.k, strategy.Config{})
 			var mse float64
 			for i := 0; i < b.N; i++ {
 				var err error
@@ -542,7 +542,7 @@ func BenchmarkGridKd3D(b *testing.B) {
 	src := noise.NewSource(5)
 	w := workload.RandomRangesKd(dims, 300, src.Split())
 	x := make([]float64, 4096)
-	alg := strategy.GridPolicyRangeKd(dims, strategy.Config{})
+	alg := strategy.GridPolicyRangeKd(dims, mech.PriveletKind, strategy.Config{})
 	b.ResetTimer()
 	var mse float64
 	for i := 0; i < b.N; i++ {

@@ -212,12 +212,10 @@ func (e *Engine) algorithm(w *Workload, opts Options) (Algorithm, error) {
 			return Algorithm{}, err
 		}
 		return strategy.TreePolicy(art.name, art.tr, art.stretch, estimatorFunc(opts), e.cfg), nil
-	case len(p.Dims) == 2 && theta == 1 && rangesOnly(w):
-		return strategy.GridPolicyRange2D(p.Dims, mech.PriveletKind, e.cfg), nil
+	case len(p.Dims) >= 2 && theta == 1 && rangesOnly(w):
+		return strategy.GridPolicyRangeKd(p.Dims, mech.PriveletKind, e.cfg), nil
 	case len(p.Dims) == 2 && theta > 1 && rangesOnly(w):
 		return strategy.ThetaGridRange2D(p.Dims, theta, e.cfg), nil
-	case len(p.Dims) > 2 && theta == 1 && rangesOnly(w):
-		return strategy.GridPolicyRangeKd(p.Dims, e.cfg), nil
 	case p.Connected():
 		// Generic fallback: BFS spanning tree with computed stretch.
 		art, err := e.treeArtifact(treeKey{branch: "bfs"})

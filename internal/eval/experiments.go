@@ -209,7 +209,7 @@ func Range2DExperiment(eps float64, opts Options) (*Table, error) {
 		cons := []contender{
 			{alg: strategy.DPPriveletRangeKd(dims), half: true},
 			{alg: strategy.DPDawaRangeKd(dims), half: true},
-			{alg: strategy.GridPolicyRange2D(dims, mech.PriveletKind, strategy.Config{})},
+			{alg: strategy.GridPolicyRangeKd(dims, mech.PriveletKind, strategy.Config{})},
 		}
 		if first {
 			for _, c := range cons {

@@ -133,7 +133,7 @@ func Fig3Experiment(o Fig3Options) ([]*Table, error) {
 		dims := []int{g, g}
 		w := workload.RandomRangesKd(dims, o.Queries, src.Split())
 		rows = append(rows, fig3Row{label: fmt.Sprintf("k=%d", g),
-			blow: strategy.GridPolicyRange2D(dims, mech.PriveletKind, strategy.Config{}),
+			blow: strategy.GridPolicyRangeKd(dims, mech.PriveletKind, strategy.Config{}),
 			dp:   strategy.DPPriveletRangeKd(dims),
 			w:    w, x: make([]float64, g*g), bSrc: src.Split(), pSrc: src.Split()})
 	}

@@ -42,8 +42,8 @@ func NewPriveletOracle(m int, eps float64, src *noise.Source) *PriveletOracle {
 		h++
 	}
 	o := &PriveletOracle{m: m, size: size, levels: h,
-		nodes:  make([]float64, maxInt(2*size-1, 1)),
-		scales: make([]float64, maxInt(2*size-1, 1))}
+		nodes:  make([]float64, max(2*size-1, 1)),
+		scales: make([]float64, max(2*size-1, 1))}
 	if eps <= 0 {
 		return o
 	}
@@ -123,25 +123,11 @@ func (o *PriveletOracle) walkDetail(node, a, b, l, r int) float64 {
 }
 
 func overlap(l, r, a, b int) int {
-	lo, hi := maxInt(l, a), minInt(r, b)
+	lo, hi := max(l, a), min(r, b)
 	if hi < lo {
 		return 0
 	}
 	return hi - lo + 1
-}
-
-func maxInt(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
-}
-
-func minInt(a, b int) int {
-	if a < b {
-		return a
-	}
-	return b
 }
 
 // PriveletKd is the multi-dimensional Privelet mechanism obtained by
@@ -230,52 +216,51 @@ func NewPriveletKd(dims []int, eps float64, src *noise.Source) *PriveletKd {
 }
 
 // RectNoise returns the noise of the Privelet estimate for the inclusive
-// hyper-rectangle [lo, hi], consistent across calls. It walks the tensor
-// basis: per dimension only the average plus the ≤2 partially-overlapped
-// nodes per level have nonzero reconstruction coefficient, so the walk
-// touches O(prod 2·h_i) coefficients.
+// hyper-rectangle [lo, hi], consistent across calls.
 func (o *PriveletKd) RectNoise(lo, hi []int) float64 {
+	return o.rectSum(lo, hi, func(coeff float64, offset int) float64 {
+		return coeff * o.coeff[offset]
+	})
+}
+
+// RectVariance returns the exact variance of RectNoise(lo, hi):
+// Σ coeff²·2·scale² over the contributing tensor coefficients.
+func (o *PriveletKd) RectVariance(lo, hi []int) float64 {
+	return o.rectSum(lo, hi, func(coeff float64, offset int) float64 {
+		return coeff * coeff * 2 * o.scales[offset] * o.scales[offset]
+	})
+}
+
+// rectTerm is one per-dimension basis node with a nonzero reconstruction
+// coefficient for an interval: the node's stride-scaled offset into the
+// flattened coefficient table, and the coefficient.
+type rectTerm struct {
+	offset int
+	coeff  float64
+}
+
+// rectSum walks the tensor basis of rectangle [lo, hi] and sums f(c, offset)
+// over the basis functions with nonzero reconstruction coefficient c, in a
+// fixed order. Per dimension only the average plus the ≤2 partially
+// overlapped nodes per level contribute, so the walk touches O(prod 2·h_i)
+// coefficients.
+func (o *PriveletKd) rectSum(lo, hi []int, f func(coeff float64, offset int) float64) float64 {
 	d := len(o.dims)
 	if len(lo) != d || len(hi) != d {
-		panic("mech: RectNoise dimension mismatch")
+		panic("mech: PriveletKd rectangle dimension mismatch")
 	}
-	type term struct {
-		offset int
-		coeff  float64
-	}
-	// Per-dimension contributing nodes and coefficients.
-	perDim := make([][]term, d)
-	for i := 0; i < d; i++ {
+	perDim := make([][]rectTerm, d)
+	for i := range perDim {
 		checkInterval(o.dims[i], lo[i], hi[i])
-		var terms []term
 		// Average node: coefficient = interval length.
-		terms = append(terms, term{offset: 0, coeff: float64(hi[i] - lo[i] + 1)})
-		var walk func(node, a, b int)
-		walk = func(node, a, b int) {
-			if b < lo[i] || hi[i] < a || a == b {
-				return
-			}
-			if lo[i] <= a && b <= hi[i] {
-				return
-			}
-			mid := (a + b) / 2
-			cl := overlap(lo[i], hi[i], a, mid)
-			cr := overlap(lo[i], hi[i], mid+1, b)
-			if c := cl - cr; c != 0 {
-				terms = append(terms, term{offset: (1 + node) * o.strides[i], coeff: float64(c)})
-			}
-			walk(2*node+1, a, mid)
-			walk(2*node+2, mid+1, b)
-		}
-		walk(0, 0, o.sizes[i]-1)
-		perDim[i] = terms
+		terms := []rectTerm{{offset: 0, coeff: float64(hi[i] - lo[i] + 1)}}
+		perDim[i] = o.appendTerms(terms, i, 0, 0, o.sizes[i]-1, lo[i], hi[i])
 	}
-	// Tensor combination.
 	var total float64
 	var rec func(dim, offset int, coeff float64)
 	rec = func(dim, offset int, coeff float64) {
 		if dim == d {
-			total += coeff * o.coeff[offset]
+			total += f(coeff, offset)
 			return
 		}
 		for _, t := range perDim[dim] {
@@ -286,55 +271,20 @@ func (o *PriveletKd) RectNoise(lo, hi []int) float64 {
 	return total
 }
 
-// RectVariance returns the exact variance of RectNoise(lo, hi):
-// Σ coeff²·2·scale² over the contributing tensor coefficients.
-func (o *PriveletKd) RectVariance(lo, hi []int) float64 {
-	d := len(o.dims)
-	if len(lo) != d || len(hi) != d {
-		panic("mech: RectVariance dimension mismatch")
+// appendTerms appends, in pre-order, the detail nodes of dimension i at or
+// below node (covering [a, b]) whose coefficient for [l, r] is nonzero: a
+// partially overlapped node's |[l,r]∩left| − |[l,r]∩right|. A disjoint or
+// fully covered node contributes nothing, and neither does its subtree.
+func (o *PriveletKd) appendTerms(terms []rectTerm, i, node, a, b, l, r int) []rectTerm {
+	if b < l || r < a || a == b || l <= a && b <= r {
+		return terms
 	}
-	type term struct {
-		offset int
-		coeff  float64
+	mid := (a + b) / 2
+	if c := overlap(l, r, a, mid) - overlap(l, r, mid+1, b); c != 0 {
+		terms = append(terms, rectTerm{offset: (1 + node) * o.strides[i], coeff: float64(c)})
 	}
-	perDim := make([][]term, d)
-	for i := 0; i < d; i++ {
-		checkInterval(o.dims[i], lo[i], hi[i])
-		var terms []term
-		terms = append(terms, term{offset: 0, coeff: float64(hi[i] - lo[i] + 1)})
-		var walk func(node, a, b int)
-		walk = func(node, a, b int) {
-			if b < lo[i] || hi[i] < a || a == b {
-				return
-			}
-			if lo[i] <= a && b <= hi[i] {
-				return
-			}
-			mid := (a + b) / 2
-			cl := overlap(lo[i], hi[i], a, mid)
-			cr := overlap(lo[i], hi[i], mid+1, b)
-			if c := cl - cr; c != 0 {
-				terms = append(terms, term{offset: (1 + node) * o.strides[i], coeff: float64(c)})
-			}
-			walk(2*node+1, a, mid)
-			walk(2*node+2, mid+1, b)
-		}
-		walk(0, 0, o.sizes[i]-1)
-		perDim[i] = terms
-	}
-	var total float64
-	var rec func(dim, offset int, coeff float64)
-	rec = func(dim, offset int, coeff float64) {
-		if dim == d {
-			total += coeff * coeff * 2 * o.scales[offset] * o.scales[offset]
-			return
-		}
-		for _, t := range perDim[dim] {
-			rec(dim+1, offset+t.offset, coeff*t.coeff)
-		}
-	}
-	rec(0, 0, 1)
-	return total
+	terms = o.appendTerms(terms, i, 2*node+1, a, mid, l, r)
+	return o.appendTerms(terms, i, 2*node+2, mid+1, b, l, r)
 }
 
 // Dims returns the grid shape.

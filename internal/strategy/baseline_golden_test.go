@@ -73,10 +73,10 @@ func baselineCases() []baselineCase {
 			func(*noise.Source) *workload.Workload { return workload.Cumulative(12) }},
 		{"optimize/grid/hist", optimized(policy.Grid(3)),
 			func(*noise.Source) *workload.Workload { return workload.Identity(9) }},
-		{"grid2d/rects/laplace", fixed(GridPolicyRange2D(grid57, mech.CellKind, Config{})), rectsOn(grid57)},
-		{"grid2d/rects/hier", fixed(GridPolicyRange2D(grid57, mech.HierKind, Config{})), rectsOn(grid57)},
-		{"grid2d/rects/privelet", fixed(GridPolicyRange2D(grid57, mech.PriveletKind, Config{})), rectsOn(grid57)},
-		{"gridkd/rects", fixed(GridPolicyRangeKd([]int{3, 4, 5}, Config{})), rectsOn([]int{3, 4, 5})},
+		{"grid2d/rects/laplace", fixed(GridPolicyRangeKd(grid57, mech.CellKind, Config{})), rectsOn(grid57)},
+		{"grid2d/rects/hier", fixed(GridPolicyRangeKd(grid57, mech.HierKind, Config{})), rectsOn(grid57)},
+		{"grid2d/rects/privelet", fixed(GridPolicyRangeKd(grid57, mech.PriveletKind, Config{})), rectsOn(grid57)},
+		{"gridkd/rects", fixed(GridPolicyRangeKd([]int{3, 4, 5}, mech.PriveletKind, Config{})), rectsOn([]int{3, 4, 5})},
 		{"thetagrid/rects", fixed(ThetaGridRange2D([]int{9, 7}, 4, Config{})), rectsOn([]int{9, 7})},
 		// A 3-row grid with cell 3 has a one-row red lattice: no external
 		// sheets along dimension 0.

@@ -13,30 +13,37 @@ import (
 )
 
 // TestGrid2DReconstructionMatchesTransformedWorkload verifies the privacy-
-// critical identity behind the Theorem 5.4 strategy: with per-cell oracles,
-// a query's assembled noise must equal Σ_e (W_G)_{q,e} · η_e where η_e is
-// the oracle noise of edge e's position. This proves the reconstruction
+// critical identity behind the Theorem 5.4 strategy: a query's assembled
+// noise must equal Σ_e (W_G)_{q,e} · η_e, the transformed workload row
+// priced at the sheet oracles' noise. This proves the reconstruction
 // coefficients are exactly the transformed workload — the premise of the
-// matrix-mechanism coupling argument.
+// matrix-mechanism coupling argument. It runs every line oracle kind on a
+// 5×6 grid and the Privelet sheets of a 3×3×4 grid. The Hier oracle's
+// canonical-node estimate is not linear in the interval, so instead of
+// single-position η_e the test groups the row by sheet, checks that each
+// sheet's support is one box of one coefficient (Lemma 5.1), and prices
+// that box with the sheet's oracle; for a linear oracle the two agree.
 func TestGrid2DReconstructionMatchesTransformedWorkload(t *testing.T) {
-	rows, cols := 5, 6
-	s := newGrid2DStrategy(rows, cols, mech.CellKind, 1, noise.NewSource(1))
-	// Per-edge noise via singleton intervals (cell oracles are linear).
-	vNoise := make([][]float64, rows-1)
-	for r := range vNoise {
-		vNoise[r] = make([]float64, cols)
-		for c := 0; c < cols; c++ {
-			vNoise[r][c] = s.vLines[r].IntervalNoise(c, c)
-		}
+	for _, tc := range []struct {
+		name string
+		dims []int
+		kind mech.OracleKind
+	}{
+		{"cell/5x6", []int{5, 6}, mech.CellKind},
+		{"hier/5x6", []int{5, 6}, mech.HierKind},
+		{"privelet/5x6", []int{5, 6}, mech.PriveletKind},
+		{"privelet/3x3x4", []int{3, 3, 4}, mech.PriveletKind},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			checkGridReconstruction(t, tc.dims, tc.kind)
+		})
 	}
-	hNoise := make([][]float64, cols-1)
-	for c := range hNoise {
-		hNoise[c] = make([]float64, rows)
-		for r := 0; r < rows; r++ {
-			hNoise[c][r] = s.hLines[c].IntervalNoise(r, r)
-		}
-	}
-	grid, err := policy.DistanceThreshold([]int{rows, cols}, 1)
+}
+
+func checkGridReconstruction(t *testing.T, dims []int, kind mech.OracleKind) {
+	d := len(dims)
+	s := newGridKdStrategy(dims, kind, 1, noise.NewSource(1))
+	grid, err := policy.DistanceThreshold(dims, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -44,35 +51,63 @@ func TestGrid2DReconstructionMatchesTransformedWorkload(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	w := workload.AllRangesKd([]int{rows, cols})
-	cu := make([]int, 2)
-	cv := make([]int, 2)
-	for qi, q := range w.Queries {
+	// support is one sheet's part of a transformed query row.
+	type support struct {
+		coeff  float64
+		lo, hi []int
+		edges  int
+	}
+	cu := make([]int, d)
+	cv := make([]int, d)
+	for qi, q := range workload.AllRangesKd(dims).Queries {
 		rq := q.(workload.RangeKd)
-		got := s.queryNoise(rq.Lo[0], rq.Hi[0], rq.Lo[1], rq.Hi[1])
-		var want float64
+		got := s.queryNoise(rq.Lo, rq.Hi)
+		// Sheet (i, j) holds the edges along dimension i between slices j
+		// and j+1, at the position of their other coordinates.
+		sheets := map[[2]int]*support{}
 		for _, e := range grid.G.Edges {
 			coeff := tr.QueryCoeffOnEdge(q, e)
 			if coeff == 0 {
 				continue
 			}
-			policy.Unrank([]int{rows, cols}, e.U, cu)
-			policy.Unrank([]int{rows, cols}, e.V, cv)
-			var eta float64
-			if cu[1] == cv[1] { // vertical edge between rows cu[0], cv[0]
-				r := cu[0]
-				if cv[0] < r {
-					r = cv[0]
-				}
-				eta = vNoise[r][cu[1]]
-			} else { // horizontal edge
-				c := cu[1]
-				if cv[1] < c {
-					c = cv[1]
-				}
-				eta = hNoise[c][cu[0]]
+			policy.Unrank(dims, e.U, cu)
+			policy.Unrank(dims, e.V, cv)
+			i := 0
+			for cu[i] == cv[i] {
+				i++
 			}
-			want += coeff * eta
+			pos := make([]int, 0, d-1)
+			pos = append(append(pos, cu[:i]...), cu[i+1:]...)
+			key := [2]int{i, min(cu[i], cv[i])}
+			sp, ok := sheets[key]
+			if !ok {
+				sheets[key] = &support{coeff: coeff, lo: pos, hi: append([]int(nil), pos...), edges: 1}
+				continue
+			}
+			if coeff != sp.coeff {
+				t.Fatalf("query %d (%v): sheet %v carries coefficients %g and %g", qi, rq, key, sp.coeff, coeff)
+			}
+			for u, v := range pos {
+				sp.lo[u], sp.hi[u] = min(sp.lo[u], v), max(sp.hi[u], v)
+			}
+			sp.edges++
+		}
+		var want float64
+		for key, sp := range sheets {
+			box := 1
+			for u := range sp.lo {
+				box *= sp.hi[u] - sp.lo[u] + 1
+			}
+			if box != sp.edges {
+				t.Fatalf("query %d (%v): sheet %v support has %d edges, not its %d-edge bounding box", qi, rq, key, sp.edges, box)
+			}
+			var eta float64
+			if s.lines != nil {
+				eta = s.lines[key[0]][key[1]].IntervalNoise(sp.lo[0], sp.hi[0])
+			} else {
+				eta = s.sheets[key[0]][key[1]].RectNoise(sp.lo, sp.hi)
+			}
+			want += sp.coeff * eta
 		}
 		if math.Abs(got-want) > 1e-9*(1+math.Abs(want)) {
 			t.Fatalf("query %d (%v): strategy noise %g != W_G reconstruction %g", qi, rq, got, want)

@@ -39,8 +39,7 @@ import (
 type thetaLayout2D struct {
 	rows, cols int
 	cell       int
-	redRows    int // lattice height
-	redCols    int // lattice width
+	redDims    []int // lattice shape, rows then columns
 	stretch    int
 }
 
@@ -50,7 +49,7 @@ func newThetaLayout2D(dims []int, theta int) (*thetaLayout2D, error) {
 		return nil, err
 	}
 	return &thetaLayout2D{rows: dims[0], cols: dims[1], cell: sp.Cell,
-		redRows: sp.RedDims[0], redCols: sp.RedDims[1], stretch: sp.Stretch}, nil
+		redDims: sp.RedDims, stretch: sp.Stretch}, nil
 }
 
 // noised draws the per-release oracles at budget eps (spent at ε/stretch per
@@ -61,19 +60,21 @@ func (lay *thetaLayout2D) noised(eps float64, src *noise.Source) *thetaGrid2D {
 	if eps > 0 {
 		effEps = core.EffectiveEpsilon(eps, lay.stretch)
 	}
-	// External: disjoint red-lattice lines, full effective budget each.
-	s.external = newGrid2DStrategy(lay.redRows, lay.redCols, mech.PriveletKind, effEps, src)
+	// External: the Theorem 5.4 strategy on the red lattice, whose lines
+	// are disjoint from everything and take the full effective budget each.
+	// A lattice side of 1 has no lines along it.
+	s.external = newGridKdStrategy(lay.redDims, mech.PriveletKind, effEps, src)
 	// Internal: two overlapping band families (rows, columns) sharing the
 	// budget. With cell == 1 every vertex is red and there are no internal
 	// edges at all.
 	if lay.cell > 1 {
 		half := effEps / 2
 		for r0 := 0; r0 < lay.rows; r0 += lay.cell {
-			h := minInt2(lay.cell, lay.rows-r0)
+			h := min(lay.cell, lay.rows-r0)
 			s.rowBands = append(s.rowBands, mech.NewPriveletKd([]int{h, lay.cols}, half, src))
 		}
 		for c0 := 0; c0 < lay.cols; c0 += lay.cell {
-			w := minInt2(lay.cell, lay.cols-c0)
+			w := min(lay.cell, lay.cols-c0)
 			s.colBands = append(s.colBands, mech.NewPriveletKd([]int{lay.rows, w}, half, src))
 		}
 	}
@@ -83,7 +84,7 @@ func (lay *thetaLayout2D) noised(eps float64, src *noise.Source) *thetaGrid2D {
 // thetaGrid2D is one release's noised strategy: the layout plus its oracles.
 type thetaGrid2D struct {
 	thetaLayout2D
-	external *grid2DStrategy
+	external *gridKdStrategy
 	rowBands []*mech.PriveletKd // band b covers rows [b·cell, …]
 	colBands []*mech.PriveletKd
 }
@@ -127,8 +128,8 @@ type piece struct {
 }
 
 func (lay *thetaLayout2D) internalPieces(q rect) []piece {
-	a1Lat, a2Lat := latticeInterval(q.r1, q.r2, lay.cell, lay.rows, lay.redRows)
-	b1Lat, b2Lat := latticeInterval(q.c1, q.c2, lay.cell, lay.cols, lay.redCols)
+	a1Lat, a2Lat := latticeInterval(q.r1, q.r2, lay.cell, lay.rows, lay.redDims[0])
+	b1Lat, b2Lat := latticeInterval(q.c1, q.c2, lay.cell, lay.cols, lay.redDims[1])
 	if a1Lat > a2Lat || b1Lat > b2Lat {
 		// No red vertex inside Q: R is empty and Q itself is thin in every
 		// empty dimension.
@@ -161,8 +162,8 @@ func (s *thetaGrid2D) internalNoise(p piece) float64 {
 	var total float64
 	if p.thinRows {
 		for b := p.rect.r1 / s.cell; b*s.cell <= p.rect.r2; b++ {
-			lo := maxInt2(p.rect.r1, b*s.cell)
-			hi := minInt2(p.rect.r2, (b+1)*s.cell-1)
+			lo := max(p.rect.r1, b*s.cell)
+			hi := min(p.rect.r2, (b+1)*s.cell-1)
 			if hi > s.rows-1 {
 				hi = s.rows - 1
 			}
@@ -171,8 +172,8 @@ func (s *thetaGrid2D) internalNoise(p piece) float64 {
 		}
 	} else {
 		for b := p.rect.c1 / s.cell; b*s.cell <= p.rect.c2; b++ {
-			lo := maxInt2(p.rect.c1, b*s.cell)
-			hi := minInt2(p.rect.c2, (b+1)*s.cell-1)
+			lo := max(p.rect.c1, b*s.cell)
+			hi := min(p.rect.c2, (b+1)*s.cell-1)
 			if hi > s.cols-1 {
 				hi = s.cols - 1
 			}
@@ -184,11 +185,12 @@ func (s *thetaGrid2D) internalNoise(p piece) float64 {
 }
 
 // thetaQueryPlan is one query's precompiled decomposition: the external
-// red-lattice rectangle (when nonempty) and the signed internal pieces.
+// red-lattice rectangle [lo, hi] (when nonempty) and the signed internal
+// pieces.
 type thetaQueryPlan struct {
-	hasExt         bool
-	a1, a2, b1, b2 int
-	pieces         []piece
+	hasExt bool
+	lo, hi [2]int
+	pieces []piece
 }
 
 // ThetaGridRange2D returns the Theorem 5.6 algorithm for 2-D range queries
@@ -218,9 +220,9 @@ func ThetaGridRange2D(dims []int, theta int, cfg Config) Algorithm {
 		for i, rq := range rects {
 			qr := rect{rq.Lo[0], rq.Hi[0], rq.Lo[1], rq.Hi[1]}
 			qp := &plans[i]
-			qp.a1, qp.a2 = latticeInterval(qr.r1, qr.r2, lay.cell, lay.rows, lay.redRows)
-			qp.b1, qp.b2 = latticeInterval(qr.c1, qr.c2, lay.cell, lay.cols, lay.redCols)
-			qp.hasExt = qp.a1 <= qp.a2 && qp.b1 <= qp.b2
+			qp.lo[0], qp.hi[0] = latticeInterval(qr.r1, qr.r2, lay.cell, lay.rows, lay.redDims[0])
+			qp.lo[1], qp.hi[1] = latticeInterval(qr.c1, qr.c2, lay.cell, lay.cols, lay.redDims[1])
+			qp.hasExt = qp.lo[0] <= qp.hi[0] && qp.lo[1] <= qp.hi[1]
 			if lay.cell > 1 {
 				qp.pieces = lay.internalPieces(qr)
 			}
@@ -231,14 +233,14 @@ func ThetaGridRange2D(dims []int, theta int, cfg Config) Algorithm {
 			return nil, err
 		}
 		// noiseInto is the per-release oracle pass shared by the static
-		// answer and the streaming state (see range2d.go).
+		// answer and the streaming state (see rangekd.go).
 		noiseInto := func(out []float64, eps float64, src *noise.Source) {
 			s := lay.noised(eps, src)
 			for i := range plans {
 				qp := &plans[i]
 				var n float64
 				if qp.hasExt {
-					n += s.external.queryNoise(qp.a1, qp.a2, qp.b1, qp.b2)
+					n += s.external.queryNoise(qp.lo[:], qp.hi[:])
 				}
 				for _, p := range qp.pieces {
 					n += s.internalNoise(p)
@@ -249,18 +251,4 @@ func ThetaGridRange2D(dims []int, theta int, cfg Config) Algorithm {
 		refresh := satRefresh(name, w, dims, blockRows, cfg.Pool, evalFn, noiseInto)
 		return truthPlusNoise(name, w, truth, noiseInto, refresh), nil
 	}}
-}
-
-func minInt2(a, b int) int {
-	if a < b {
-		return a
-	}
-	return b
-}
-
-func maxInt2(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
 }

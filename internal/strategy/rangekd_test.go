@@ -13,19 +13,17 @@ import (
 )
 
 func TestGridPolicyRangeKdExact2D(t *testing.T) {
-	// The general-d strategy must agree with the truth on 2-D, like the
-	// specialized 2-D implementation.
 	rng := rand.New(rand.NewSource(1))
 	dims := []int{6, 7}
 	x := randomX(rng, 42)
-	exactness(t, GridPolicyRangeKd(dims, Config{}), workload.AllRangesKd(dims), x)
+	exactness(t, GridPolicyRangeKd(dims, mech.PriveletKind, Config{}), workload.AllRangesKd(dims), x)
 }
 
 func TestGridPolicyRangeKdExact3D(t *testing.T) {
 	rng := rand.New(rand.NewSource(2))
 	dims := []int{4, 3, 5}
 	x := randomX(rng, 60)
-	exactness(t, GridPolicyRangeKd(dims, Config{}), workload.AllRangesKd(dims), x)
+	exactness(t, GridPolicyRangeKd(dims, mech.PriveletKind, Config{}), workload.AllRangesKd(dims), x)
 }
 
 func TestGridPolicyRangeKdExact1D(t *testing.T) {
@@ -34,7 +32,7 @@ func TestGridPolicyRangeKdExact1D(t *testing.T) {
 	dims := []int{16}
 	x := randomX(rng, 16)
 	w := workload.AllRangesKd(dims)
-	exactness(t, GridPolicyRangeKd(dims, Config{}), w, x)
+	exactness(t, GridPolicyRangeKd(dims, mech.PriveletKind, Config{}), w, x)
 }
 
 func TestGridPolicyRangeKdVarianceMatchesEmpirical(t *testing.T) {
@@ -47,7 +45,7 @@ func TestGridPolicyRangeKdVarianceMatchesEmpirical(t *testing.T) {
 	const trials = 4000
 	var sum, sq float64
 	for i := 0; i < trials; i++ {
-		s := newGridKdStrategy(dims, eps, src.Split())
+		s := newGridKdStrategy(dims, mech.PriveletKind, eps, src.Split())
 		v := s.queryNoise(q.Lo, q.Hi)
 		sum += v
 		sq += v * v
@@ -62,30 +60,45 @@ func TestGridPolicyRangeKdVarianceMatchesEmpirical(t *testing.T) {
 	}
 }
 
-func TestGridPolicyRangeKdMatches2DSpecialization(t *testing.T) {
-	// Same construction, same error scale: measured MSE of the general-d
-	// strategy on a 2-D grid must be within 2x of the 2-D specialization.
-	dims := []int{16, 16}
-	x := make([]float64, 256)
-	w := workload.RandomRangesKd(dims, 300, noise.NewSource(5))
-	a := measureMSE(t, GridPolicyRangeKd(dims, Config{}), w, x, 0.5, 30, 6)
-	b := measureMSE(t, GridPolicyRange2D(dims, mech.PriveletKind, Config{}), w, x, 0.5, 30, 7)
-	if a > 2*b || b > 2*a {
-		t.Fatalf("general-d %g vs 2-D specialization %g differ too much", a, b)
-	}
-}
-
 func TestGridPolicyRangeKdRejectsBadInput(t *testing.T) {
-	alg := GridPolicyRangeKd([]int{4, 4}, Config{})
+	alg := GridPolicyRangeKd([]int{4, 4}, mech.PriveletKind, Config{})
 	if _, err := alg.Run(workload.Identity(16), make([]float64, 16), 1, noise.NewSource(1)); err == nil {
 		t.Fatal("non-range workload accepted")
 	}
 	if _, err := alg.Run(workload.AllRangesKd([]int{4, 4}), make([]float64, 15), 1, noise.NewSource(1)); err == nil {
 		t.Fatal("domain mismatch accepted")
 	}
-	alg1 := GridPolicyRangeKd([]int{1, 4}, Config{})
+	alg1 := GridPolicyRangeKd([]int{1, 4}, mech.PriveletKind, Config{})
 	if _, err := alg1.Run(workload.AllRangesKd([]int{1, 4}), make([]float64, 4), 1, noise.NewSource(1)); err == nil {
 		t.Fatal("dimension of size 1 accepted")
+	}
+	dims3 := []int{2, 3, 4}
+	for _, kind := range []mech.OracleKind{mech.CellKind, mech.HierKind} {
+		alg3 := GridPolicyRangeKd(dims3, kind, Config{})
+		if _, err := alg3.Prepare(workload.AllRangesKd(dims3)); err == nil {
+			t.Fatalf("oracle kind %d accepted on a 3-D grid", kind)
+		}
+	}
+	if _, err := GridPolicyRangeKd([]int{4, 4}, mech.OracleKind(7), Config{}).Prepare(workload.AllRangesKd([]int{4, 4})); err == nil {
+		t.Fatal("unknown oracle kind accepted")
+	}
+}
+
+// TestGridNoisePassAllocsNothingPerQuery pins the grid release's hot path:
+// the face bounds live in per-release buffers, so reading a query's faces
+// off line sheets allocates nothing.
+func TestGridNoisePassAllocsNothingPerQuery(t *testing.T) {
+	dims := []int{16, 16}
+	w := workload.RandomRangesKd(dims, 50, noise.NewSource(1))
+	s := newGridKdStrategy(dims, mech.PriveletKind, 1, noise.NewSource(2))
+	allocs := testing.AllocsPerRun(10, func() {
+		for _, q := range w.Queries {
+			rq := q.(workload.RangeKd)
+			s.queryNoise(rq.Lo, rq.Hi)
+		}
+	})
+	if allocs != 0 {
+		t.Fatalf("%v allocations per pass over %d queries, want 0", allocs, w.Len())
 	}
 }
 
@@ -102,7 +115,7 @@ func TestMarginalsViaGridStrategy(t *testing.T) {
 	if m.Len() != 15 {
 		t.Fatalf("marginal cells = %d, want 15", m.Len())
 	}
-	exactness(t, GridPolicyRangeKd(dims, Config{}), m, x)
+	exactness(t, GridPolicyRangeKd(dims, mech.PriveletKind, Config{}), m, x)
 }
 
 func TestOptimizeDensePicksGoodStrategy(t *testing.T) {

@@ -52,11 +52,8 @@ func TestGridShardedMatchesUnsharded(t *testing.T) {
 		name  string
 		build func(cfg Config) (*Prepared, error)
 	}{
-		{"range2d", func(cfg Config) (*Prepared, error) {
-			return GridPolicyRange2D(dims, mech.PriveletKind, cfg).Prepare(w)
-		}},
-		{"rangekd", func(cfg Config) (*Prepared, error) {
-			return GridPolicyRangeKd(dims, cfg).Prepare(w)
+		{"grid", func(cfg Config) (*Prepared, error) {
+			return GridPolicyRangeKd(dims, mech.PriveletKind, cfg).Prepare(w)
 		}},
 		{"thetagrid", func(cfg Config) (*Prepared, error) {
 			return ThetaGridRange2D(dims, 2, cfg).Prepare(w)
@@ -117,7 +114,7 @@ func TestGridShardedMatchesUnsharded(t *testing.T) {
 func TestAutoShardThreshold(t *testing.T) {
 	dims := []int{16, 16}
 	w := workload.RandomRangesKd(dims, 20, noise.NewSource(2))
-	prep, err := GridPolicyRangeKd(dims, Config{}).Prepare(w)
+	prep, err := GridPolicyRangeKd(dims, mech.PriveletKind, Config{}).Prepare(w)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -181,7 +178,7 @@ func TestShardedStreamMatchesStatic(t *testing.T) {
 	dims := []int{13, 5}
 	k := 13 * 5
 	w := workload.RandomRangesKd(dims, 60, noise.NewSource(41))
-	prep, err := GridPolicyRangeKd(dims, Config{MaxBlockCells: 20}).Prepare(w)
+	prep, err := GridPolicyRangeKd(dims, mech.PriveletKind, Config{MaxBlockCells: 20}).Prepare(w)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -138,8 +138,7 @@ func TestGridCompilesExposeStructuredOperator(t *testing.T) {
 	src := noise.NewSource(3)
 	w := workload.RandomRangesKd(dims, 40, src)
 	for _, alg := range []Algorithm{
-		GridPolicyRange2D(dims, mech.PriveletKind, Config{}),
-		GridPolicyRangeKd(dims, Config{}),
+		GridPolicyRangeKd(dims, mech.PriveletKind, Config{}),
 		ThetaGridRange2D(dims, 2, Config{}),
 	} {
 		prep, err := alg.Prepare(w)

@@ -3,9 +3,12 @@
 // against in Section 6. Tree policies (the line graph G¹_k and the spanners
 // H^θ) go through the exact all-mechanism equivalence of Theorem 4.3: run
 // any DP estimator on the transformed database x_G and recombine. Non-tree
-// policies (the grid G¹_{k²}, G^θ_{k^d}) go through matrix-mechanism-style
+// policies (the grid G¹_{k^d}, G^θ_{k²}) go through matrix-mechanism-style
 // strategies (Theorem 4.1): noisy interval answers over the edge domain with
-// noise calibrated to per-edge participation, reconstructed per query.
+// noise calibrated to per-edge participation, reconstructed per query. One
+// Theorem 5.4 strategy (rangekd.go) serves the grid at every d, with line
+// oracles of any mech.OracleKind at d = 2; the θ-grid strategy of
+// Theorem 5.6 (range2dtheta.go) runs it on its external lattice.
 //
 // Every strategy is built one way: its constructor returns an Algorithm
 // whose Prepare does all workload-dependent work — strategy selection,

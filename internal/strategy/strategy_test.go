@@ -83,7 +83,7 @@ func TestGridPolicyRange2DExact(t *testing.T) {
 	x := randomX(rng, 42)
 	w := workload.AllRangesKd(dims)
 	for _, kind := range []mech.OracleKind{mech.CellKind, mech.HierKind, mech.PriveletKind} {
-		exactness(t, GridPolicyRange2D(dims, kind, Config{}), w, x)
+		exactness(t, GridPolicyRangeKd(dims, kind, Config{}), w, x)
 	}
 }
 
@@ -95,7 +95,7 @@ func TestGridPolicyRange2DNoiseless(t *testing.T) {
 	dims := []int{9, 11}
 	x := randomX(rng, 99)
 	w := workload.AllRangesKd(dims)
-	p, err := GridPolicyRange2D(dims, mech.PriveletKind, Config{}).Prepare(w)
+	p, err := GridPolicyRangeKd(dims, mech.PriveletKind, Config{}).Prepare(w)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -315,7 +315,7 @@ func TestGrid2DBlowfishBeatsPrivelet(t *testing.T) {
 	eps := 0.5
 	x := make([]float64, 1024)
 	w := workload.RandomRangesKd(dims, 300, noise.NewSource(14))
-	blow := measureMSE(t, GridPolicyRange2D(dims, mech.PriveletKind, Config{}), w, x, eps, 10, 15)
+	blow := measureMSE(t, GridPolicyRangeKd(dims, mech.PriveletKind, Config{}), w, x, eps, 10, 15)
 	priv := measureMSE(t, DPPriveletRangeKd(dims), w, x, eps, 10, 16)
 	if blow >= priv {
 		t.Fatalf("grid Blowfish %g not below 2-D Privelet %g", blow, priv)

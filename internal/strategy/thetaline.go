@@ -146,7 +146,7 @@ func ThetaLineGrouped(k, theta int, kind mech.OracleKind) Algorithm {
 		}
 		compilations.Add(1)
 		// noiseInto is the per-release oracle pass shared by the static
-		// answer and the streaming state (see range2d.go).
+		// answer and the streaming state (see rangekd.go).
 		noiseInto := func(out []float64, eps float64, src *noise.Source) {
 			effEps := eps
 			if eps > 0 {
