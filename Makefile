@@ -13,7 +13,10 @@ all: lint build test
 build:
 	$(GO) build ./...
 
+# The plain run comes first: tests built `!race` (the decode allocation
+# pin, which -race's sync.Pool would break) only run there.
 test:
+	$(GO) test ./...
 	$(GO) test -race ./...
 
 # Benchmarks: a 1-iteration smoke pass over every Benchmark* (so they cannot

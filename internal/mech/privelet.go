@@ -137,6 +137,10 @@ func overlap(l, r, a, b int) int {
 // is the product of per-dimension weights, and the generalized sensitivity
 // is ρ_d = (h+1)^d, giving O(log^{3d} m / ε²) variance for rectangles —
 // the d-dimensional Privelet bound quoted in Figure 3.
+//
+// RectNoise and RectVariance walk the basis in scratch buffers held on the
+// oracle, so a PriveletKd is not safe for concurrent use: one oracle serves
+// one release.
 type PriveletKd struct {
 	dims   []int
 	sizes  []int // per-dimension padded sizes
@@ -146,6 +150,14 @@ type PriveletKd struct {
 	coeff   []float64
 	scales  []float64 // Laplace scale per coefficient (parallel to coeff)
 	strides []int
+	// rectSum scratch: every dimension's nonzero terms back to back
+	// (dimension i's are terms[starts[i]:starts[i+1]]), the term picked per
+	// dimension, and per walk depth the running offset and coefficient
+	// product.
+	terms        []rectTerm
+	starts, pick []int
+	offs         []int
+	prods        []float64
 }
 
 // NewPriveletKd returns a multi-dimensional Privelet oracle over the dims
@@ -156,10 +168,13 @@ func NewPriveletKd(dims []int, eps float64, src *noise.Source) *PriveletKd {
 	if d == 0 {
 		panic("mech: NewPriveletKd needs at least one dimension")
 	}
+	walk := make([]int, 3*d+2)
 	o := &PriveletKd{dims: append([]int(nil), dims...),
-		sizes: make([]int, d), levels: make([]int, d), strides: make([]int, d)}
+		sizes: make([]int, d), levels: make([]int, d), strides: make([]int, d),
+		starts: walk[:d+1], pick: walk[d+1 : 2*d+1], offs: walk[2*d+1:], prods: make([]float64, d+1)}
 	total := 1
 	rho := 1.0
+	maxTerms := 0
 	for i, m := range dims {
 		size, h := 1, 0
 		for size < m {
@@ -169,7 +184,9 @@ func NewPriveletKd(dims []int, eps float64, src *noise.Source) *PriveletKd {
 		o.sizes[i], o.levels[i] = size, h
 		total *= 2 * size // 1 average + (2·size−1) detail nodes
 		rho *= float64(h + 1)
+		maxTerms += 1 + 2*h // the average plus ≤ 2 partial nodes per level
 	}
+	o.terms = make([]rectTerm, 0, maxTerms)
 	stride := 1
 	for i := d - 1; i >= 0; i-- {
 		o.strides[i] = stride
@@ -241,7 +258,9 @@ type rectTerm struct {
 
 // rectSum walks the tensor basis of rectangle [lo, hi] and sums f(c, offset)
 // over the basis functions with nonzero reconstruction coefficient c, in a
-// fixed order. Per dimension only the average plus the ≤2 partially
+// fixed order: lexicographic in the per-dimension terms, dimension 0
+// outermost, with c the left-to-right product of the picked terms'
+// coefficients. Per dimension only the average plus the ≤2 partially
 // overlapped nodes per level contribute, so the walk touches O(prod 2·h_i)
 // coefficients.
 func (o *PriveletKd) rectSum(lo, hi []int, f func(coeff float64, offset int) float64) float64 {
@@ -249,26 +268,38 @@ func (o *PriveletKd) rectSum(lo, hi []int, f func(coeff float64, offset int) flo
 	if len(lo) != d || len(hi) != d {
 		panic("mech: PriveletKd rectangle dimension mismatch")
 	}
-	perDim := make([][]rectTerm, d)
-	for i := range perDim {
+	terms := o.terms[:0]
+	for i := range o.dims {
 		checkInterval(o.dims[i], lo[i], hi[i])
+		o.starts[i] = len(terms)
 		// Average node: coefficient = interval length.
-		terms := []rectTerm{{offset: 0, coeff: float64(hi[i] - lo[i] + 1)}}
-		perDim[i] = o.appendTerms(terms, i, 0, 0, o.sizes[i]-1, lo[i], hi[i])
+		terms = append(terms, rectTerm{offset: 0, coeff: float64(hi[i] - lo[i] + 1)})
+		terms = o.appendTerms(terms, i, 0, 0, o.sizes[i]-1, lo[i], hi[i])
 	}
+	o.starts[d] = len(terms)
+	o.terms = terms
+	starts, pick, offs, prods := o.starts, o.pick, o.offs, o.prods
+	copy(pick, starts[:d])
+	offs[0], prods[0] = 0, 1
 	var total float64
-	var rec func(dim, offset int, coeff float64)
-	rec = func(dim, offset int, coeff float64) {
-		if dim == d {
-			total += f(coeff, offset)
-			return
+	for from := 0; ; {
+		for i := from; i < d; i++ {
+			t := terms[pick[i]]
+			offs[i+1], prods[i+1] = offs[i]+t.offset, prods[i]*t.coeff
 		}
-		for _, t := range perDim[dim] {
-			rec(dim+1, offset+t.offset, coeff*t.coeff)
+		total += f(prods[d], offs[d])
+		// Advance the deepest dimension with a term left; the dimensions
+		// after it restart at their first term.
+		from = d - 1
+		for from >= 0 && pick[from]+1 == starts[from+1] {
+			pick[from] = starts[from]
+			from--
 		}
+		if from < 0 {
+			return total
+		}
+		pick[from]++
 	}
-	rec(0, 0, 1)
-	return total
 }
 
 // appendTerms appends, in pre-order, the detail nodes of dimension i at or

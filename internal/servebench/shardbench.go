@@ -48,8 +48,8 @@ func DefaultShardBench() ShardBenchOptions {
 // million-cell mark, against the monolithic path (ShardBlock = -1) on the
 // same policy, workload, histogram, and noise seeds:
 //
-//   - Grid answers: the blocked reconstruction builds per-slab summed-area
-//     tables in parallel instead of one global table serially.
+//   - Grid answers: a sharded release builds one blocked summed-area table,
+//     its per-slab tables in parallel, instead of one global table serially.
 //   - Grid stream deltas: the blocked SATState caps each patch at the owning
 //     slab's volume, where the global table pays the full suffix box (up to
 //     O(k)) or falls back to a dense rebuild — this row is the o(k)-per-delta

@@ -2,15 +2,14 @@ package sparse
 
 import (
 	"fmt"
-	"sync"
 
 	"github.com/privacylab/blowfish/internal/par"
 )
 
 // DefaultShardCells is the domain size above which the engine shards
-// strategy compiles and reconstructions along contiguous cell blocks. Below
-// it a single operator over the whole domain wins: the per-block scratch and
-// reduce pass cost more than they save, and every pre-sharding golden test
+// strategy compiles and summed-area tables along contiguous cell blocks.
+// Below it a single table over the whole domain wins: the per-block
+// dispatch and partial sums cost more than they save, and every pre-sharding golden test
 // (largest domain 128² = 16384 cells) stays on the byte-identical monolithic
 // path. The value itself is one block of a 1024-wide grid slab: 64 rows ×
 // 1024 columns.
@@ -78,166 +77,4 @@ func ConcatRows(parts []*CSR) (*CSR, error) {
 		m.Val = append(m.Val, p.Val...)
 	}
 	return m, nil
-}
-
-// BlockedOperator shards a linear map along contiguous domain (column)
-// blocks: block i owns the input cells [blocks[i].Lo, blocks[i].Hi) and a
-// sub-operator mapping that slice to a full rows-length partial vector.
-// Apply evaluates the per-block partials in parallel over the pool and then
-// reduces them serially in ascending block order, so results are bitwise
-// independent of worker count and scheduling; across different block
-// partitions the reduce reassociates the float sums, which is exact on
-// integer count histograms and within ~1e-9 relative error otherwise (the
-// shard bench asserts this bound in-loop against the monolithic path).
-//
-// Reconstruction therefore streams block-by-block: peak extra memory is one
-// rows-length partial per in-flight block, never a q×k intermediate.
-// BlockedOperator is immutable after construction and safe for concurrent
-// Apply/AddApply, like every Operator.
-type BlockedOperator struct {
-	rows, cols int
-	blocks     []par.Block
-	subs       []Operator
-	pool       *par.Pool
-	scratch    sync.Pool
-}
-
-// NewBlockedOperator assembles a blocked operator over the given column
-// blocks, which must tile [0, cols) contiguously in ascending order. build
-// constructs the sub-operator for one block; the calls are compile work
-// items fanned out over pool (nil means par.Shared()), one per block, and
-// may run concurrently — build must not share mutable state across calls.
-// Each sub-operator must have shape rows × (b.Hi - b.Lo).
-func NewBlockedOperator(rows, cols int, blocks []par.Block, build func(i int, b par.Block) (Operator, error), pool *par.Pool) (*BlockedOperator, error) {
-	if len(blocks) == 0 {
-		return nil, fmt.Errorf("sparse: BlockedOperator needs at least one block")
-	}
-	lo := 0
-	for i, b := range blocks {
-		if b.Lo != lo || b.Hi <= b.Lo {
-			return nil, fmt.Errorf("sparse: BlockedOperator block %d [%d,%d) does not tile [0,%d)", i, b.Lo, b.Hi, cols)
-		}
-		lo = b.Hi
-	}
-	if lo != cols {
-		return nil, fmt.Errorf("sparse: BlockedOperator blocks cover [0,%d), want [0,%d)", lo, cols)
-	}
-	op := &BlockedOperator{
-		rows:   rows,
-		cols:   cols,
-		blocks: append([]par.Block(nil), blocks...),
-		subs:   make([]Operator, len(blocks)),
-		pool:   pool,
-	}
-	op.scratch.New = func() any {
-		buf := make([]float64, rows)
-		return &buf
-	}
-	if op.pool == nil {
-		op.pool = par.Shared()
-	}
-	err := op.pool.DoErr(workers(), len(blocks), func(i int) error {
-		sub, err := build(i, op.blocks[i])
-		if err != nil {
-			return fmt.Errorf("sparse: BlockedOperator block %d: %w", i, err)
-		}
-		r, c := sub.Dims()
-		if r != rows || c != op.blocks[i].Hi-op.blocks[i].Lo {
-			return fmt.Errorf("sparse: BlockedOperator block %d shape %dx%d, want %dx%d", i, r, c, rows, op.blocks[i].Hi-op.blocks[i].Lo)
-		}
-		op.subs[i] = sub
-		return nil
-	})
-	if err != nil {
-		return nil, err
-	}
-	return op, nil
-}
-
-// Dims returns the full (rows, cols) shape across all blocks.
-func (o *BlockedOperator) Dims() (int, int) { return o.rows, o.cols }
-
-// NumBlocks returns the number of domain blocks.
-func (o *BlockedOperator) NumBlocks() int { return len(o.blocks) }
-
-// Block returns the column range owned by block i.
-func (o *BlockedOperator) Block(i int) par.Block { return o.blocks[i] }
-
-// Sub returns block i's sub-operator (shape rows × block width).
-func (o *BlockedOperator) Sub(i int) Operator { return o.subs[i] }
-
-// ApplyBlock writes block i's partial — sub_i · xblock, where xblock is the
-// input slice for block i's cells — into dst, overwriting it.
-func (o *BlockedOperator) ApplyBlock(i int, dst, xblock []float64) {
-	o.subs[i].Apply(dst, xblock)
-}
-
-// AddApplyBlock accumulates dst += sub_i · xblock.
-func (o *BlockedOperator) AddApplyBlock(i int, dst, xblock []float64) {
-	o.subs[i].AddApply(dst, xblock)
-}
-
-// Apply writes A·x into dst: per-block partials in parallel, then a serial
-// ascending-block reduce, so dst is bitwise independent of worker count.
-func (o *BlockedOperator) Apply(dst, x []float64) {
-	o.checkVec(dst, x)
-	if len(o.blocks) == 1 {
-		o.subs[0].Apply(dst, x)
-		return
-	}
-	partials := o.partials(x)
-	copy(dst, *partials[0])
-	for i := 1; i < len(partials); i++ {
-		p := *partials[i]
-		for r := range dst {
-			dst[r] += p[r]
-		}
-	}
-	o.release(partials)
-}
-
-// AddApply accumulates dst += A·x, folding block partials into the existing
-// dst entries in ascending block order (block 0's fold preserves each
-// sub-operator's own evaluation-order contract for seeded constants).
-func (o *BlockedOperator) AddApply(dst, x []float64) {
-	o.checkVec(dst, x)
-	if len(o.blocks) == 1 {
-		o.subs[0].AddApply(dst, x)
-		return
-	}
-	partials := o.partials(x)
-	for _, pp := range partials {
-		p := *pp
-		for r := range dst {
-			dst[r] += p[r]
-		}
-	}
-	o.release(partials)
-}
-
-// partials evaluates every block's sub-operator into a pooled rows-length
-// buffer, fanning the blocks out over the pool. The returned slice is
-// indexed by block, so the caller's reduce order is fixed regardless of
-// which worker produced which partial.
-func (o *BlockedOperator) partials(x []float64) []*[]float64 {
-	partials := make([]*[]float64, len(o.blocks))
-	o.pool.Do(workers(), len(o.blocks), func(i int) {
-		buf := o.scratch.Get().(*[]float64)
-		b := o.blocks[i]
-		o.subs[i].Apply(*buf, x[b.Lo:b.Hi])
-		partials[i] = buf
-	})
-	return partials
-}
-
-func (o *BlockedOperator) release(partials []*[]float64) {
-	for _, p := range partials {
-		o.scratch.Put(p)
-	}
-}
-
-func (o *BlockedOperator) checkVec(dst, x []float64) {
-	if len(x) != o.cols || len(dst) != o.rows {
-		panic(fmt.Sprintf("sparse: blocked apply shape mismatch %d ← %dx%d · %d", len(dst), o.rows, o.cols, len(x)))
-	}
 }

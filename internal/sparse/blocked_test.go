@@ -102,109 +102,6 @@ func TestConcatRows(t *testing.T) {
 	}
 }
 
-// blockedFromCSR shards a CSR along column blocks into a BlockedOperator
-// whose sub-operators are the column sub-matrices.
-func blockedFromCSR(t *testing.T, m *sparse.CSR, maxCells int) *sparse.BlockedOperator {
-	t.Helper()
-	blocks := sparse.ShardBlocks(m.Cols, 1, maxCells)
-	op, err := sparse.NewBlockedOperator(m.Rows, m.Cols, blocks, func(i int, b par.Block) (sparse.Operator, error) {
-		sub := sparse.NewBuilder(m.Rows, b.Hi-b.Lo)
-		for r := 0; r < m.Rows; r++ {
-			for p := m.RowPtr[r]; p < m.RowPtr[r+1]; p++ {
-				if c := m.ColIdx[p]; c >= b.Lo && c < b.Hi {
-					sub.Add(r, c-b.Lo, m.Val[p])
-				}
-			}
-		}
-		return sub.Build(), nil
-	}, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	return op
-}
-
-// TestBlockedOperatorApply compares blocked Apply/AddApply against the
-// monolithic operator across block sizes, including block size 1 and a
-// single covering block, on a non-divisible width.
-func TestBlockedOperatorApply(t *testing.T) {
-	src := noise.NewSource(17)
-	rows, cols := 23, 41 // 41 prime: never divisible by the block sizes
-	b := sparse.NewBuilder(rows, cols)
-	for r := 0; r < rows; r++ {
-		for c := 0; c < cols; c++ {
-			if src.Uniform() < 0.4 {
-				b.Add(r, c, src.Uniform()*2-1)
-			}
-		}
-	}
-	m := b.Build()
-	x := make([]float64, cols)
-	for i := range x {
-		x[i] = src.Uniform()*10 - 5
-	}
-	want := m.MulVec(x)
-	for _, maxCells := range []int{1, 7, 16, cols, 10 * cols} {
-		op := blockedFromCSR(t, m, maxCells)
-		if r, c := op.Dims(); r != rows || c != cols {
-			t.Fatalf("maxCells=%d: Dims() = %dx%d, want %dx%d", maxCells, r, c, rows, cols)
-		}
-		dst := make([]float64, rows)
-		op.Apply(dst, x)
-		for i := range want {
-			if math.Abs(dst[i]-want[i]) > 1e-9*(1+math.Abs(want[i])) {
-				t.Fatalf("maxCells=%d: Apply[%d] = %v, want %v", maxCells, i, dst[i], want[i])
-			}
-		}
-		// AddApply folds into a seeded dst.
-		seed := make([]float64, rows)
-		for i := range seed {
-			seed[i] = float64(i) * 0.5
-		}
-		add := append([]float64(nil), seed...)
-		op.AddApply(add, x)
-		for i := range want {
-			if math.Abs(add[i]-(seed[i]+want[i])) > 1e-9*(1+math.Abs(want[i])) {
-				t.Fatalf("maxCells=%d: AddApply[%d] = %v, want %v", maxCells, i, add[i], seed[i]+want[i])
-			}
-		}
-		// Repeated Apply on the same operator is bitwise stable: the serial
-		// ascending-block reduce makes results independent of scheduling.
-		again := make([]float64, rows)
-		op.Apply(again, x)
-		for i := range dst {
-			if math.Float64bits(again[i]) != math.Float64bits(dst[i]) {
-				t.Fatalf("maxCells=%d: Apply not deterministic at row %d", maxCells, i)
-			}
-		}
-	}
-}
-
-// TestBlockedOperatorValidation checks tiling and shape validation.
-func TestBlockedOperatorValidation(t *testing.T) {
-	ident := func(n int) sparse.Operator {
-		b := sparse.NewBuilder(n, n)
-		for i := 0; i < n; i++ {
-			b.Add(i, i, 1)
-		}
-		return b.Build()
-	}
-	build := func(i int, b par.Block) (sparse.Operator, error) { return ident(b.Hi - b.Lo), nil }
-	if _, err := sparse.NewBlockedOperator(4, 4, nil, build, nil); err == nil {
-		t.Fatal("want error for no blocks")
-	}
-	if _, err := sparse.NewBlockedOperator(4, 4, []par.Block{{Lo: 0, Hi: 2}, {Lo: 3, Hi: 4}}, build, nil); err == nil {
-		t.Fatal("want error for gap in tiling")
-	}
-	if _, err := sparse.NewBlockedOperator(4, 4, []par.Block{{Lo: 0, Hi: 2}}, build, nil); err == nil {
-		t.Fatal("want error for short cover")
-	}
-	// Sub-operator rows must match the declared rows (ident gives b.Hi-b.Lo).
-	if _, err := sparse.NewBlockedOperator(4, 4, []par.Block{{Lo: 0, Hi: 2}, {Lo: 2, Hi: 4}}, build, nil); err == nil {
-		t.Fatal("want error for sub-operator shape mismatch")
-	}
-}
-
 // TestSATStateBlocked checks the blocked table layout: per-slab tables equal
 // workload.SummedAreaTable over each slab's sub-grid bitwise, PointAdd stays
 // within the owning slab and agrees with a recompute, and PointAddCost is

@@ -85,6 +85,5 @@ func denseAddApplyRows(m *linalg.Matrix, dst, x []float64, lo, hi int) {
 
 // Structure-aware Operator implementations — reconstructions applied in
 // closed form without materializing any matrix — live next to the structure
-// they exploit: core.Transform.DatabaseOperator (O(k) subtree sums for tree
-// policies) and the strategy package's summed-area-table / prefix-sum
-// workload operators.
+// they exploit, e.g. core.Transform.DatabaseOperator (O(k) subtree sums for
+// tree policies).

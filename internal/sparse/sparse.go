@@ -13,21 +13,18 @@
 // tables, Lanczos matvec sources in spectral.go) implement Operator directly
 // and never materialize a matrix.
 //
-// Three pieces serve domains past ~10⁶ cells:
+// Two pieces serve domains past ~10⁶ cells:
 //
 //   - ShardBlocks/ConcatRows partition a domain (or a query list) into
 //     contiguous blocks and reassemble per-block CSR shards into one
 //     byte-identical matrix, which is how strategy compiles fan per-block
-//     work items out over the pool.
-//   - BlockedOperator composes per-block column-range sub-operators into one
-//     domain-wide Operator: Apply evaluates block partials in parallel and
-//     reduces them serially in ascending block order, so outputs are bitwise
-//     independent of the worker count (and of GOMAXPROCS). DefaultShardCells
-//     is the auto-shard threshold the compile layer consults.
-//   - SATState maintains summed-area/prefix tables incrementally for
-//     streams; NewSATStateBlocked keeps one table per row-slab so a point
-//     delta patches at most one slab (o(k)) instead of a full suffix box,
-//     with a cost-capped dense recompute fallback per slab.
+//     work items out over the pool. DefaultShardCells is the auto-shard
+//     threshold the compile layer consults.
+//   - SATState maintains summed-area/prefix tables for the range
+//     strategies' releases and streams; NewSATStateBlocked keeps one table
+//     per row-slab, rebuilt in parallel, so a point delta patches at most
+//     one slab (o(k)) instead of a full suffix box, with a cost-capped dense
+//     recompute fallback per slab.
 package sparse
 
 import (

@@ -46,7 +46,7 @@ func DPPriveletRange1D() Algorithm {
 				out[i] += oracle.IntervalNoise(r.L, r.R)
 			}
 		}
-		return truthPlusNoise(name, w, &range1DOp{k: w.K, ranges: ranges}, noiseInto, nil), nil
+		return satPrepared(name, w, []int{w.K}, 0, nil, evalRanges(ranges), noiseInto), nil
 	}}
 }
 
@@ -104,7 +104,7 @@ func DPPriveletRangeKd(dims []int) Algorithm {
 				out[i] += oracle.RectNoise(r.Lo, r.Hi)
 			}
 		}
-		return truthPlusNoise(name, w, &rangeKdOp{dims: dims, k: w.K, rects: rects}, noiseInto, nil), nil
+		return satPrepared(name, w, dims, 0, nil, evalRects(dims, rects), noiseInto), nil
 	}}
 }
 

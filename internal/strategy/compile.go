@@ -17,8 +17,9 @@ import (
 // noise. A Prepared captures all of that once; its Answer runs only the
 // noise-and-reconstruct hot path. It also holds the unpack helpers that
 // check a workload's query shape at compile time and the two Prepared
-// assemblers: release, and truthPlusNoise for the strategies that release
-// exact answers plus one noise pass.
+// assemblers: release, and maintainedPrepared for the strategies whose
+// release is one answer off a freshly built maintained state (stream.go),
+// which is also what their streams patch.
 
 // Prepared is a compiled, workload-bound strategy. It is immutable after
 // compilation: Answer is safe for concurrent use as long as each caller
@@ -29,10 +30,9 @@ type Prepared struct {
 	// answer is the hot path: noise the precompiled strategy at eps and
 	// reconstruct every workload query for database x.
 	answer func(x []float64, eps float64, src *noise.Source) ([]float64, error)
-	// op is the compiled linear operator the hot path applies per release:
-	// the query-reconstruction matrix for tree strategies (CSR when its
-	// density is below sparse.DefaultMaxDensity, dense above), or the
-	// structure-aware workload-evaluation operator for grid strategies.
+	// op is the compiled query-reconstruction matrix of a tree strategy
+	// (CSR when its density is below sparse.DefaultMaxDensity, dense
+	// above); nil for every other strategy.
 	op sparse.Operator
 	// refresh builds the incremental per-stream State for one histogram
 	// (see stream.go); nil when the strategy has no incremental form.
@@ -44,9 +44,9 @@ func (p *Prepared) Answer(x []float64, eps float64, src *noise.Source) ([]float6
 	return p.answer(x, eps, src)
 }
 
-// Operator exposes the compiled hot-path operator for inspection, tests and
-// benchmarks; it is immutable and safe for concurrent Apply. Strategies
-// without a single such operator return nil.
+// Operator exposes a tree strategy's compiled reconstruction operator for
+// inspection, tests and benchmarks; it is immutable and safe for concurrent
+// Apply. Strategies without a single such operator return nil.
 func (p *Prepared) Operator() sparse.Operator { return p.op }
 
 // AnswerBatch is the hook behind Plan.AnswerBatch: it releases the
@@ -104,25 +104,33 @@ func release(name string, w *workload.Workload, op sparse.Operator, body func(x 
 	return &Prepared{Name: name, answer: answer, op: op}
 }
 
-// truthPlusNoise assembles the Prepared of a strategy whose release is the
-// exact workload answers W·x, computed by truth, plus one per-release noise
-// pass that adds each query's strategy noise in place. The pass is skipped
-// at eps <= 0: every noiseInto builds oracles that draw nothing and add
-// zero there, so a noiseless release is W·x without building them. refresh
-// is the strategy's streaming hook, or nil.
-func truthPlusNoise(name string, w *workload.Workload, truth sparse.Operator,
-	noiseInto func(out []float64, eps float64, src *noise.Source),
-	refresh func(x []float64) (*State, error)) *Prepared {
-	p := release(name, w, truth, func(x []float64, eps float64, src *noise.Source) []float64 {
-		out := make([]float64, w.Len())
-		truth.Apply(out, x)
-		if eps > 0 {
-			noiseInto(out, eps, src)
+// maintainedPrepared assembles the Prepared of a strategy with a maintained
+// form: fresh(x) builds the strategy's maintained state over x (the x_G
+// transform for trees, the summed-area table for the range strategies). A
+// static release is one answer off a fresh state, and Refresh wraps a fresh
+// state in a State, so the static and streaming releases share one path.
+func maintainedPrepared(name string, w *workload.Workload, op sparse.Operator, fresh func(x []float64) (maintained, error)) *Prepared {
+	build := func(x []float64) (maintained, error) {
+		if err := checkDomain(w, x); err != nil {
+			return nil, err
 		}
-		return out
-	})
-	p.refresh = refresh
-	return p
+		return fresh(x)
+	}
+	answer := func(x []float64, eps float64, src *noise.Source) ([]float64, error) {
+		m, err := build(x)
+		if err != nil {
+			return nil, err
+		}
+		return m.answer(eps, src)
+	}
+	refresh := func(x []float64) (*State, error) {
+		m, err := build(x)
+		if err != nil {
+			return nil, err
+		}
+		return newState(name, x, m, w.K), nil
+	}
+	return &Prepared{Name: name, answer: answer, op: op, refresh: refresh}
 }
 
 // points, ranges1D and rangesKd unpack a workload's queries into the one

@@ -197,7 +197,7 @@ type thetaQueryPlan struct {
 // under G^θ_{k²}. Prepare computes the spanner geometry and every query's
 // lattice interval and piece decomposition once; the hot path draws the
 // oracles, builds the summed-area table and assembles the precompiled
-// terms. Past the cfg sharding threshold the truth side shards into dim-0
+// terms. Past the cfg sharding threshold the table is blocked into dim-0
 // slabs (see shard.go); the spanner oracle pass is unaffected.
 func ThetaGridRange2D(dims []int, theta int, cfg Config) Algorithm {
 	name := fmt.Sprintf("Transformed + Privelet (theta=%d)", theta)
@@ -228,12 +228,8 @@ func ThetaGridRange2D(dims []int, theta int, cfg Config) Algorithm {
 			}
 		}
 		compilations.Add(1)
-		truth, evalFn, blockRows, err := gridTruth(dims, rects, cfg)
-		if err != nil {
-			return nil, err
-		}
-		// noiseInto is the per-release oracle pass shared by the static
-		// answer and the streaming state (see rangekd.go).
+		evalFn, blockRows := gridTruth(dims, rects, cfg)
+		// noiseInto is the per-release oracle pass (see rangekd.go).
 		noiseInto := func(out []float64, eps float64, src *noise.Source) {
 			s := lay.noised(eps, src)
 			for i := range plans {
@@ -248,7 +244,6 @@ func ThetaGridRange2D(dims []int, theta int, cfg Config) Algorithm {
 				out[i] += n
 			}
 		}
-		refresh := satRefresh(name, w, dims, blockRows, cfg.Pool, evalFn, noiseInto)
-		return truthPlusNoise(name, w, truth, noiseInto, refresh), nil
+		return satPrepared(name, w, dims, blockRows, cfg.Pool, evalFn, noiseInto), nil
 	}}
 }

@@ -150,9 +150,8 @@ func (s *gridKdStrategy) queryVariance(lo, hi []int) float64 {
 // Every dimension must be at least 2. Prepare validates and unpacks the
 // query rectangles once; the hot path draws the per-sheet oracles (the only
 // per-release randomness), builds the summed-area table and reads the ≤ 2d
-// boundary faces per query. Past the cfg sharding threshold the truth side
-// is emitted as a blocked operator over dim-0 slabs (see shard.go); the
-// oracle pass is unaffected.
+// boundary faces per query. Past the cfg sharding threshold the table is
+// blocked into dim-0 slabs (see shard.go); the oracle pass is unaffected.
 func GridPolicyRangeKd(dims []int, kind mech.OracleKind, cfg Config) Algorithm {
 	name := fmt.Sprintf("Transformed + Privelet (d=%d)", len(dims))
 	if len(dims) == 2 {
@@ -185,23 +184,17 @@ func GridPolicyRangeKd(dims []int, kind mech.OracleKind, cfg Config) Algorithm {
 			return nil, err
 		}
 		compilations.Add(1)
-		truth, evalFn, blockRows, err := gridTruth(dims, rects, cfg)
-		if err != nil {
-			return nil, err
-		}
-		// noiseInto is the per-release oracle pass, shared by the static
-		// answer and the streaming state so the two paths cannot drift. The
-		// oracles are the only randomness; they draw the same Source values
-		// whether the truth side is rebuilt per release or incrementally
-		// maintained.
+		evalFn, blockRows := gridTruth(dims, rects, cfg)
+		// noiseInto is the per-release oracle pass. The oracles are the
+		// only randomness; they draw the same Source values whether the
+		// table is built fresh per release or incrementally maintained.
 		noiseInto := func(out []float64, eps float64, src *noise.Source) {
 			s := newGridKdStrategy(dims, kind, eps, src)
 			for i, rq := range rects {
 				out[i] += s.queryNoise(rq.Lo, rq.Hi)
 			}
 		}
-		refresh := satRefresh(name, w, dims, blockRows, cfg.Pool, evalFn, noiseInto)
-		return truthPlusNoise(name, w, truth, noiseInto, refresh), nil
+		return satPrepared(name, w, dims, blockRows, cfg.Pool, evalFn, noiseInto), nil
 	}}
 }
 

@@ -3,6 +3,7 @@ package strategy
 import (
 	"math"
 	"math/rand"
+	"runtime/debug"
 	"testing"
 
 	"github.com/privacylab/blowfish/internal/core"
@@ -84,9 +85,12 @@ func TestGridPolicyRangeKdRejectsBadInput(t *testing.T) {
 	}
 }
 
-// TestGridNoisePassAllocsNothingPerQuery pins the grid release's hot path:
-// the face bounds live in per-release buffers, so reading a query's faces
-// off line sheets allocates nothing.
+// TestGridNoisePassAllocsNothingPerQuery pins the range releases' hot path:
+// face bounds live in per-release buffers, so reading a query's faces off
+// line sheets allocates nothing; Privelet sheets and bands walk their basis
+// in the oracle's own scratch and corner reads index the table directly, so
+// a whole release — grid, θ-grid, d = 3 grid, sharded grid — allocates the
+// same at 100 queries as at 500.
 func TestGridNoisePassAllocsNothingPerQuery(t *testing.T) {
 	dims := []int{16, 16}
 	w := workload.RandomRangesKd(dims, 50, noise.NewSource(1))
@@ -99,6 +103,37 @@ func TestGridNoisePassAllocsNothingPerQuery(t *testing.T) {
 	})
 	if allocs != 0 {
 		t.Fatalf("%v allocations per pass over %d queries, want 0", allocs, w.Len())
+	}
+
+	// Collection cycles allocate runtime objects of their own, and the
+	// larger release would trigger more of them.
+	defer debug.SetGCPercent(debug.SetGCPercent(-1))
+	for _, tc := range []struct {
+		name string
+		dims []int
+		alg  Algorithm
+	}{
+		{"grid 64x64", []int{64, 64}, GridPolicyRangeKd([]int{64, 64}, mech.PriveletKind, Config{})},
+		{"thetagrid 64x64 theta=4", []int{64, 64}, ThetaGridRange2D([]int{64, 64}, 4, Config{})},
+		{"grid 8x8x8", []int{8, 8, 8}, GridPolicyRangeKd([]int{8, 8, 8}, mech.PriveletKind, Config{})},
+		{"grid 64x64 sharded", []int{64, 64}, GridPolicyRangeKd([]int{64, 64}, mech.PriveletKind, Config{MaxBlockCells: 512})},
+	} {
+		allocsAt := func(queries int) float64 {
+			w := workload.RandomRangesKd(tc.dims, queries, noise.NewSource(1))
+			p, err := tc.alg.Prepare(w)
+			if err != nil {
+				t.Fatal(err)
+			}
+			x := rampHistogram(w.K)
+			return testing.AllocsPerRun(5, func() {
+				if _, err := p.Answer(x, 0.5, noise.NewSource(2)); err != nil {
+					t.Fatal(err)
+				}
+			})
+		}
+		if few, many := allocsAt(100), allocsAt(500); few != many {
+			t.Errorf("%s: a release allocates %v times at 100 queries and %v at 500", tc.name, few, many)
+		}
 	}
 }
 

@@ -7,17 +7,15 @@ import (
 )
 
 // This file is the domain-sharding side of the compile/run split. Past
-// sparse.DefaultShardCells the grid compiles stop emitting one monolithic
-// summed-area operator and instead partition the domain into contiguous
-// dim-0 slabs: each slab gets the queries clipped to it, the per-slab
-// sub-operators are compile work items fanned out over the shared pool, and
-// reconstruction becomes a sparse.BlockedOperator that evaluates slab
-// partials in parallel and reduces them in ascending slab order. The
-// streaming state mirrors the same partition — a blocked sparse.SATState
-// maintains one table per slab, so Stream.Apply patches stop at slab
-// boundaries (o(k) per delta at any update position) and the stream
-// evaluator reads exactly the clipped rectangles the blocked truth operator
-// reads, keeping stream answers bitwise identical to static sharded answers.
+// sparse.DefaultShardCells the grid compiles stop reading one global
+// summed-area table and instead partition the domain into contiguous dim-0
+// slabs: each slab gets the queries clipped to it (clipping fans out over
+// the shared pool, one work item per slab), and the fresh and maintained
+// states become a blocked sparse.SATState with one table per slab, rebuilt
+// in parallel. Stream.Apply patches then stop at slab boundaries (o(k) per
+// delta at any update position), and the evaluator sums each query's
+// clipped-rectangle partials in ascending slab order — one path for static
+// and streamed releases, so they stay bitwise identical.
 //
 // Tree compiles shard differently: their reconstruction is a CSR whose rows
 // accumulate in support-discovery order, so reassociating columns would
@@ -42,7 +40,7 @@ import (
 // (grids round it to whole dim-0 slices; a single slice larger than the cap
 // becomes one block on its own).
 //
-// Pool is where per-block compile work items and blocked reconstructions
+// Pool is where per-block compile work items and blocked table rebuilds
 // fan out; nil means par.Shared().
 type Config struct {
 	MaxBlockCells int
@@ -73,38 +71,26 @@ func (c Config) pool() *par.Pool {
 }
 
 // gridTruth resolves the truth side of a grid compile under cfg: the
-// workload-evaluation operator, the stream evaluator reading a maintained
-// table, and the blocked table layout (slab rows; 0 = unblocked). Below the
-// sharding threshold it returns the classic monolithic rangeKdOp and global
-// evaluator, byte-for-byte the pre-sharding path.
-func gridTruth(dims []int, rects []workload.RangeKd, cfg Config) (sparse.Operator, func(table []float64) []float64, int, error) {
+// evaluator reading a summed-area table and the table layout (slab rows;
+// 0 = unblocked). Below the sharding threshold it returns the global
+// evaluator over one table.
+func gridTruth(dims []int, rects []workload.RangeKd, cfg Config) (func(table []float64) []float64, int) {
 	if shard := newGridShard(dims, rects, cfg); shard != nil {
-		op, err := shard.operator()
-		if err != nil {
-			return nil, nil, 0, err
-		}
-		return op, shard.eval, shard.blockRows, nil
+		return shard.eval, shard.blockRows
 	}
-	k := 1
-	for _, d := range dims {
-		k *= d
-	}
-	return &rangeKdOp{dims: dims, k: k, rects: rects}, evalRects(dims, rects), 0, nil
+	return evalRects(dims, rects), 0
 }
 
 // gridShard is the compiled shard artifact for one (dims, rects) grid
 // workload: the slab partition plus, per slab, the queries intersecting it
 // with their rectangles clipped to slab-local coordinates.
 type gridShard struct {
-	dims      []int
-	k         int
 	queries   int
 	blockRows int                  // slab height in dim-0 rows
 	blocks    []par.Block          // cell ranges, ascending, tiling [0, k)
 	slabDims  [][]int              // per slab: {slab rows, dims[1:]...}
 	qidx      [][]int              // per slab: workload query index per clipped rect
 	rects     [][]workload.RangeKd // per slab: clipped, slab-local rects
-	pool      *par.Pool
 }
 
 // newGridShard builds the shard artifact, or nil when the configuration
@@ -126,17 +112,14 @@ func newGridShard(dims []int, rects []workload.RangeKd, cfg Config) *gridShard {
 		return nil
 	}
 	g := &gridShard{
-		dims:      append([]int(nil), dims...),
-		k:         k,
 		queries:   len(rects),
 		blockRows: (blocks[0].Hi - blocks[0].Lo) / inner,
 		blocks:    blocks,
 		slabDims:  make([][]int, len(blocks)),
 		qidx:      make([][]int, len(blocks)),
 		rects:     make([][]workload.RangeKd, len(blocks)),
-		pool:      cfg.pool(),
 	}
-	g.pool.Do(par.Workers(0), len(blocks), func(i int) {
+	cfg.pool().Do(par.Workers(0), len(blocks), func(i int) {
 		lo0 := blocks[i].Lo / inner
 		hi0 := blocks[i].Hi / inner
 		sd := append([]int{hi0 - lo0}, dims[1:]...)
@@ -165,20 +148,10 @@ func newGridShard(dims []int, rects []workload.RangeKd, cfg Config) *gridShard {
 	return g
 }
 
-// operator assembles the blocked truth operator: one slabRangeOp per slab,
-// built as parallel compile work items, reduced by sparse.BlockedOperator
-// in ascending slab order.
-func (g *gridShard) operator() (sparse.Operator, error) {
-	return sparse.NewBlockedOperator(g.queries, g.k, g.blocks, func(i int, b par.Block) (sparse.Operator, error) {
-		return &slabRangeOp{dims: g.slabDims[i], cells: b.Hi - b.Lo, queries: g.queries,
-			qidx: g.qidx[i], rects: g.rects[i]}, nil
-	}, g.pool)
-}
-
 // eval answers the workload off a blocked SATState table (per-slab tables
-// concatenated at their row-major offsets): the same clipped corner reads,
-// in the same ascending slab order, as the blocked truth operator — so a
-// recomputed stream answers bitwise identically to the static sharded path.
+// concatenated at their row-major offsets): each query sums its clipped
+// corner reads in ascending slab order. On integer histograms every partial
+// and sum is exact, so the answers equal the global table's bitwise.
 func (g *gridShard) eval(table []float64) []float64 {
 	out := make([]float64, g.queries)
 	for i, b := range g.blocks {
@@ -188,35 +161,4 @@ func (g *gridShard) eval(table []float64) []float64 {
 		}
 	}
 	return out
-}
-
-// slabRangeOp evaluates one slab's clipped rectangles: Apply builds the
-// slab-local summed-area table (O(slab cells)) and accumulates each clipped
-// query's corner reads into its workload row.
-type slabRangeOp struct {
-	dims    []int
-	cells   int
-	queries int
-	qidx    []int
-	rects   []workload.RangeKd
-}
-
-// Dims returns (#workload queries, slab cells).
-func (o *slabRangeOp) Dims() (int, int) { return o.queries, o.cells }
-
-// Apply writes the slab's partial answers into dst, overwriting it (queries
-// that miss the slab get 0).
-func (o *slabRangeOp) Apply(dst, x []float64) {
-	for i := range dst {
-		dst[i] = 0
-	}
-	o.AddApply(dst, x)
-}
-
-// AddApply accumulates dst += the slab partials.
-func (o *slabRangeOp) AddApply(dst, x []float64) {
-	table := workload.SummedAreaTable(o.dims, x)
-	for j, rq := range o.rects {
-		dst[o.qidx[j]] += workload.EvalRangeKd(o.dims, table, rq)
-	}
 }

@@ -48,6 +48,10 @@ func TestGridShardedMatchesUnsharded(t *testing.T) {
 	k := 13 * 5
 	src := noise.NewSource(41)
 	w := workload.RandomRangesKd(dims, 60, src)
+	rects, err := rangesKd("grid", w, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
 	compiles := []struct {
 		name  string
 		build func(cfg Config) (*Prepared, error)
@@ -69,11 +73,11 @@ func TestGridShardedMatchesUnsharded(t *testing.T) {
 			if err != nil {
 				t.Fatalf("%s/%d: sharded compile: %v", tc.name, blockCells, err)
 			}
-			// A cap below the domain must expose the blocked operator;
-			// a cap covering it collapses back to the monolithic shape.
-			_, blocked := shard.Operator().(*sparse.BlockedOperator)
+			// A cap below the domain must shard the table; a cap covering
+			// it collapses back to the monolithic shape.
+			blocked := newGridShard(dims, rects, Config{MaxBlockCells: blockCells}) != nil
 			if wantBlocked := blockCells < k; blocked != wantBlocked {
-				t.Fatalf("%s/%d: blocked operator = %v, want %v", tc.name, blockCells, blocked, wantBlocked)
+				t.Fatalf("%s/%d: sharded = %v, want %v", tc.name, blockCells, blocked, wantBlocked)
 			}
 			xi := countHistogram(k)
 			for _, eps := range []float64{0, 0.5} {
@@ -109,16 +113,16 @@ func TestGridShardedMatchesUnsharded(t *testing.T) {
 }
 
 // TestAutoShardThreshold pins the MaxBlockCells = 0 contract: domains at or
-// below sparse.DefaultShardCells keep the exact pre-sharding operator, so
-// every golden test stays on the byte-identical path.
+// below sparse.DefaultShardCells keep the exact pre-sharding global table,
+// so every golden test stays on the byte-identical path.
 func TestAutoShardThreshold(t *testing.T) {
 	dims := []int{16, 16}
 	w := workload.RandomRangesKd(dims, 20, noise.NewSource(2))
-	prep, err := GridPolicyRangeKd(dims, mech.PriveletKind, Config{}).Prepare(w)
+	rects, err := rangesKd("grid", w, 2)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, blocked := prep.Operator().(*sparse.BlockedOperator); blocked {
+	if newGridShard(dims, rects, Config{}) != nil {
 		t.Fatalf("%d-cell domain sharded under automatic config; threshold is %d",
 			16*16, sparse.DefaultShardCells)
 	}

@@ -6,7 +6,6 @@ import (
 	"testing"
 
 	"github.com/privacylab/blowfish/internal/core"
-	"github.com/privacylab/blowfish/internal/mech"
 	"github.com/privacylab/blowfish/internal/noise"
 	"github.com/privacylab/blowfish/internal/policy"
 	"github.com/privacylab/blowfish/internal/sparse"
@@ -130,37 +129,6 @@ func TestSmallDomainAutoPickGoesDense(t *testing.T) {
 	}
 	if _, ok := prep.Operator().(sparse.Dense); !ok {
 		t.Fatalf("small-domain operator is %T, want sparse.Dense", prep.Operator())
-	}
-}
-
-func TestGridCompilesExposeStructuredOperator(t *testing.T) {
-	dims := []int{8, 8}
-	src := noise.NewSource(3)
-	w := workload.RandomRangesKd(dims, 40, src)
-	for _, alg := range []Algorithm{
-		GridPolicyRangeKd(dims, mech.PriveletKind, Config{}),
-		ThetaGridRange2D(dims, 2, Config{}),
-	} {
-		prep, err := alg.Prepare(w)
-		if err != nil {
-			t.Fatal(err)
-		}
-		op := prep.Operator()
-		if op == nil {
-			t.Fatalf("%s: grid compile must expose its workload operator", prep.Name)
-		}
-		rows, cols := op.Dims()
-		if rows != w.Len() || cols != 64 {
-			t.Fatalf("%s: operator dims %dx%d, want %dx%d", prep.Name, rows, cols, w.Len(), 64)
-		}
-		// The operator's exact answers must match the workload's.
-		x := rampHistogram(64)
-		got := make([]float64, rows)
-		op.Apply(got, x)
-		want := w.Answers(x)
-		if d := answersMaxDiff(t, got, want); d > 1e-9 {
-			t.Fatalf("%s: structured operator diverges from workload answers by %g", prep.Name, d)
-		}
 	}
 }
 

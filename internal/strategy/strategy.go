@@ -15,20 +15,21 @@
 // sensitivity calibration, query-shape checks, reconstruction operators —
 // and returns a Prepared whose Answer is the noise-and-reconstruct hot
 // path. Algorithm.Run is only Prepare followed by one Answer. Config carries
-// the compile-time knobs: MaxBlockCells shards the compile and the resulting
-// reconstruction along contiguous domain blocks (queries blocks for tree
-// policies) over the shared par.Pool, emitting sparse.BlockedOperator
-// reconstructions whose fixed-order block reduce keeps sharded output within
-// 1e-9 of the monolithic compile (bitwise on integer histograms); 0 shards
-// automatically past sparse.DefaultShardCells, < 0 disables. The noise pass
-// is never sharded — draws stay serial from one noise.Source, so sharded
-// and unsharded releases consume identical noise streams.
+// the compile-time knobs: MaxBlockCells shards the compile along contiguous
+// domain blocks (query blocks for tree policies) over the shared par.Pool;
+// a sharded grid reads one blocked summed-area table whose fixed-order slab
+// sums keep sharded output within 1e-9 of the monolithic compile (bitwise
+// on integer histograms); 0 shards automatically past
+// sparse.DefaultShardCells, < 0 disables. The noise pass is never sharded —
+// draws stay serial from one noise.Source, so sharded and unsharded
+// releases consume identical noise streams.
 //
-// stream.go is the incremental side: a compiled strategy exposes refresh
-// hooks that fold Delta batches into maintained state (root-path patches on
-// tree transforms, slab-capped summed-area patches via sparse.SATState)
-// with a cost-capped dense rebuild fallback, which is what Engine.OpenStream
-// builds on.
+// stream.go is the incremental side: every tree and summed-area strategy
+// has a maintained state (the tree transform x_G, or a sparse.SATState)
+// that a static release builds fresh and answers off once, and that a
+// stream keeps and patches under Delta batches (root-path patches on tree
+// transforms, slab-capped summed-area patches) with a cost-capped dense
+// rebuild fallback, which is what Engine.OpenStream builds on.
 package strategy
 
 import (
@@ -187,38 +188,12 @@ func compileTree(name string, tr *core.Transform, stretch int, est Estimator, w 
 	}
 	recon := pick(csr)
 	queries := w.Len()
-	refresh := func(x []float64) (*State, error) {
-		if err := checkDomain(w, x); err != nil {
-			return nil, err
-		}
+	return maintainedPrepared(name, w, recon, func(x []float64) (maintained, error) {
 		ts := &treeState{tr: tr, stretch: stretch, est: est, aliasCoeffs: aliasCoeffs,
 			recon: recon, queries: queries, xg: make([]float64, len(edges))}
-		return newState(name, x, ts, w.K), nil
-	}
-	answer := func(x []float64, eps float64, src *noise.Source) ([]float64, error) {
-		if err := checkDomain(w, x); err != nil {
-			return nil, err
-		}
-		xg, err := tr.DatabaseTransform(x)
-		if err != nil {
-			return nil, err
-		}
-		effEps := eps
-		if eps > 0 {
-			effEps = core.EffectiveEpsilon(eps, stretch)
-		}
-		xge := est(xg, effEps, src)
-		out := make([]float64, queries)
-		if aliasCoeffs != nil {
-			n := sum(x)
-			for i, c := range aliasCoeffs {
-				out[i] = c * n
-			}
-		}
-		recon.AddApply(out, xge)
-		return out, nil
-	}
-	return &Prepared{Name: name, answer: answer, op: recon, refresh: refresh}, nil
+		ts.recompute(x)
+		return ts, nil
+	}), nil
 }
 
 // supportIndex narrows the edges that can carry nonzero transformed

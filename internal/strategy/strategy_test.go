@@ -87,9 +87,9 @@ func TestGridPolicyRange2DExact(t *testing.T) {
 	}
 }
 
-// TestGridPolicyRange2DNoiseless pins the eps <= 0 shortcut of
-// truthPlusNoise and the maintained summed-area state: a noiseless grid
-// release is W·x bitwise and draws nothing from its Source.
+// TestGridPolicyRange2DNoiseless pins the eps <= 0 shortcut of the
+// summed-area state's answer, static and streamed: a noiseless grid release
+// is W·x bitwise and draws nothing from its Source.
 func TestGridPolicyRange2DNoiseless(t *testing.T) {
 	rng := rand.New(rand.NewSource(8))
 	dims := []int{9, 11}

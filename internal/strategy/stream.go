@@ -13,20 +13,22 @@ import (
 // This file is the incremental-maintenance side of the compile/run split: a
 // State binds a compiled strategy to one mutable histogram and keeps the
 // strategy's data-side artifacts (the subtree-sum vector x_G for tree
-// strategies, the summed-area / prefix table for grid strategies) patched
-// under single-cell deltas instead of rebuilding them per release.
+// strategies, the summed-area / prefix table for range strategies) patched
+// under single-cell deltas instead of rebuilding them per release. A static
+// release is one answer off a freshly built state (maintainedPrepared), so
+// the two release paths are one.
 //
 // Correctness never depends on the fast path: Recompute rebuilds every
-// maintained artifact densely with exactly the float operations of the
-// static Answer path, so a recomputed State answers bitwise identically to
+// maintained artifact densely with exactly the float operations of a fresh
+// build, so a recomputed State answers bitwise identically to
 // Prepared.Answer on the same histogram, and Apply falls back to it
 // whenever the summed patch cost would exceed a dense rebuild.
 
 // maintained is a strategy's incrementally patchable data-side state.
 // update folds one cell delta in, updateCost prices that patch in touched
 // entries (so State can fall back to recompute), recompute rebuilds
-// densely from the histogram (bitwise identical to the static compile
-// path), and answer runs the noise-and-reconstruct hot path off the
+// densely from the histogram (bitwise identical to a fresh build), and
+// answer runs the noise-and-reconstruct hot path off the
 // maintained artifacts. answer must not mutate the maintained state:
 // State serializes update/recompute against answer but allows concurrent
 // answers.
@@ -227,11 +229,10 @@ func (t *treeState) answer(eps float64, src *noise.Source) ([]float64, error) {
 	return out, nil
 }
 
-// satState maintains the exact-truth side of the grid strategies: the
+// satState maintains the exact-truth side of the range strategies: the
 // inclusive prefix-sum (summed-area) table the range evaluators read.
 // eval answers every workload query off the maintained table; noise is the
-// strategy's per-release oracle pass, shared verbatim with the static
-// answer closure so the two paths cannot drift.
+// strategy's per-release oracle pass.
 type satState struct {
 	sat   *sparse.SATState
 	eval  func(table []float64) []float64
@@ -248,39 +249,37 @@ func (g *satState) exportState() []float64 { return g.sat.Export() }
 
 func (g *satState) importState(artifacts []float64) error { return g.sat.Restore(artifacts) }
 
+// answer skips the noise pass at eps <= 0: every noise pass builds oracles
+// that draw nothing and add zero there, so a noiseless release is W·x
+// without building them.
 func (g *satState) answer(eps float64, src *noise.Source) ([]float64, error) {
 	out := g.eval(g.sat.Table())
-	if eps > 0 { // as in truthPlusNoise: the oracles add nothing at eps <= 0
+	if eps > 0 {
 		g.noise(out, eps, src)
 	}
 	return out, nil
 }
 
-// satRefresh builds the Refresh hook shared by every summed-area-backed
-// strategy (the 2-D/k-D grids, the θ-grid, and — with dims = {k} — the 1-D
-// prefix-sum strategies, whose table accumulation is bitwise identical to
-// workload.PrefixSums). blockRows > 0 selects the blocked per-slab table
-// layout matching a sharded compile (see shard.go): the eval closure must
-// then read slab tables, and PointAdd patches stop at slab boundaries so
-// Stream.Apply stays o(k) per delta. blockRows = 0 is the classic global
-// table.
-func satRefresh(name string, w *workload.Workload, dims []int, blockRows int, pool *par.Pool,
+// satPrepared assembles every summed-area-backed strategy (the grids, the
+// θ-grid, the θ-line and the DP Privelet range baselines; with dims = {k}
+// the table accumulation is bitwise identical to workload.PrefixSums): its
+// fresh state is a sparse.SATState over x. blockRows > 0 selects the
+// blocked per-slab table layout of a sharded compile (see shard.go): eval
+// must then read slab tables, and PointAdd patches stop at slab boundaries
+// so Stream.Apply stays o(k) per delta. blockRows = 0 is the global table.
+func satPrepared(name string, w *workload.Workload, dims []int, blockRows int, pool *par.Pool,
 	eval func(table []float64) []float64,
-	noiseInto func(out []float64, eps float64, src *noise.Source)) func(x []float64) (*State, error) {
-	return func(x []float64) (*State, error) {
-		if err := checkDomain(w, x); err != nil {
-			return nil, err
-		}
+	noiseInto func(out []float64, eps float64, src *noise.Source)) *Prepared {
+	return maintainedPrepared(name, w, nil, func(x []float64) (maintained, error) {
 		sat, err := sparse.NewSATStateBlocked(dims, x, blockRows, pool)
 		if err != nil {
 			return nil, err
 		}
-		return newState(name, x, &satState{sat: sat, eval: eval, noise: noiseInto}, w.K), nil
-	}
+		return &satState{sat: sat, eval: eval, noise: noiseInto}, nil
+	})
 }
 
-// evalRects answers a fixed rectangle workload off a maintained table —
-// the same reads rangeKdOp.Apply performs on its per-release table.
+// evalRects answers a fixed rectangle workload off a global table.
 func evalRects(dims []int, rects []workload.RangeKd) func(table []float64) []float64 {
 	return func(table []float64) []float64 {
 		out := make([]float64, len(rects))

@@ -145,8 +145,7 @@ func ThetaLineGrouped(k, theta int, kind mech.OracleKind) Algorithm {
 			runs[i] = lay.runsForQuery(r)
 		}
 		compilations.Add(1)
-		// noiseInto is the per-release oracle pass shared by the static
-		// answer and the streaming state (see rangekd.go).
+		// noiseInto is the per-release oracle pass (see rangekd.go).
 		noiseInto := func(out []float64, eps float64, src *noise.Source) {
 			effEps := eps
 			if eps > 0 {
@@ -162,12 +161,10 @@ func ThetaLineGrouped(k, theta int, kind mech.OracleKind) Algorithm {
 				}
 			}
 		}
-		// The 1-D prefix table is the dims = {k} summed-area table: the same
-		// left-to-right accumulation as workload.PrefixSums, bitwise. This
+		// The 1-D prefix table is the dims = {k} summed-area table. This
 		// strategy stays unsharded — θ-line domains route through the tree
 		// compile past the sharding threshold (see engine dispatch).
-		refresh := satRefresh(name, w, []int{w.K}, 0, nil, evalRanges(ranges), noiseInto)
-		return truthPlusNoise(name, w, &range1DOp{k: w.K, ranges: ranges}, noiseInto, refresh), nil
+		return satPrepared(name, w, []int{w.K}, 0, nil, evalRanges(ranges), noiseInto), nil
 	}}
 }
 

@@ -354,30 +354,32 @@ func SummedAreaTable(dims []int, x []float64) []float64 {
 }
 
 // EvalRangeKd answers a RangeKd query from a summed-area table via
-// inclusion–exclusion over the 2^d corners.
+// inclusion–exclusion over the 2^d corners. Each corner's row-major index
+// is accumulated as its coordinates are chosen (policy.Rank's Horner step),
+// so a query allocates nothing.
 func EvalRangeKd(dims []int, table []float64, q RangeKd) float64 {
 	d := len(dims)
-	corner := make([]int, d)
 	var s float64
 	for mask := 0; mask < 1<<uint(d); mask++ {
 		sign := 1.0
+		idx := 0
 		ok := true
 		for dim := 0; dim < d; dim++ {
+			c := q.Hi[dim]
 			if mask&(1<<uint(dim)) != 0 {
-				corner[dim] = q.Lo[dim] - 1
+				c = q.Lo[dim] - 1
 				sign = -sign
-				if corner[dim] < 0 {
+				if c < 0 {
 					ok = false
 					break
 				}
-			} else {
-				corner[dim] = q.Hi[dim]
 			}
+			idx = idx*dims[dim] + c
 		}
 		if !ok {
 			continue
 		}
-		s += sign * table[policy.Rank(dims, corner)]
+		s += sign * table[idx]
 	}
 	return s
 }
