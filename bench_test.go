@@ -12,6 +12,7 @@ package blowfish
 
 import (
 	"math"
+	"math/rand"
 	"testing"
 
 	"github.com/privacylab/blowfish/internal/core"
@@ -526,12 +527,48 @@ func BenchmarkDatabaseTransformLine(b *testing.B) {
 	}
 }
 
-// BenchmarkPriveletOracleQuery measures one interval-noise evaluation.
-func BenchmarkPriveletOracleQuery(b *testing.B) {
-	o := mech.NewPriveletOracle(4096, 1, noise.NewSource(3))
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		o.IntervalNoise(100, 3000)
+// BenchmarkSheets measures one release's noise oracles for each kind: the
+// 126 lines of width 64 a 64×64 grid release draws with 2000 face reads
+// spread over them, and one 16×16 sheet with 2000 rectangle reads. Each op
+// draws every sheet and makes every read.
+func BenchmarkSheets(b *testing.B) {
+	for _, shape := range []struct {
+		name   string
+		dims   []int
+		sheets int
+	}{{"126x64", []int{64}, 126}, {"16x16", []int{16, 16}, 1}} {
+		rng := rand.New(rand.NewSource(4))
+		type read struct {
+			sheet  int
+			lo, hi []int
+		}
+		reads := make([]read, 2000)
+		for i := range reads {
+			r := read{sheet: rng.Intn(shape.sheets), lo: make([]int, len(shape.dims)), hi: make([]int, len(shape.dims))}
+			for d, m := range shape.dims {
+				r.lo[d] = rng.Intn(m)
+				r.hi[d] = r.lo[d] + rng.Intn(m-r.lo[d])
+			}
+			reads[i] = r
+		}
+		for _, kind := range []struct {
+			name string
+			k    mech.OracleKind
+		}{{"cell", mech.CellKind}, {"hier", mech.HierKind}, {"privelet", mech.PriveletKind}} {
+			b.Run(kind.name+"/"+shape.name, func(b *testing.B) {
+				b.ReportAllocs()
+				src := noise.NewSource(3)
+				sheets := make([]mech.Sheet, shape.sheets)
+				for b.Loop() {
+					for j := range sheets {
+						sheets[j] = mech.NewSheet(kind.k, shape.dims, 0.5, src)
+					}
+					for _, r := range reads {
+						sheets[r.sheet].RectNoise(r.lo, r.hi)
+					}
+				}
+			})
+		}
 	}
 }
 

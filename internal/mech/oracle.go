@@ -1,186 +1,134 @@
 // Package mech implements the differentially private mechanisms the paper
 // builds on and compares against: the Laplace mechanism (Thm 2.1), the matrix
 // mechanism framework of Li et al. (Eq. 2), the hierarchical mechanism of Hay
-// et al., the Privelet wavelet mechanism of Xiao et al. (1-D and
-// multi-dimensional), a DAWA-style data-dependent mechanism (Li, Hay,
-// Miklau), isotonic-regression consistency post-processing (§5.4.2) and the
-// exponential mechanism (used by the Theorem 4.4 negative result).
+// et al., the Privelet wavelet mechanism of Xiao et al., a DAWA-style
+// data-dependent mechanism (Li, Hay, Miklau), isotonic-regression
+// consistency post-processing (§5.4.2) and the exponential mechanism (used
+// by the Theorem 4.4 negative result).
 //
 // # Noise oracles
 //
-// Blowfish strategies (Section 5) release noisy interval answers over the
+// Blowfish strategies (Section 5) release noisy range answers over the
 // *edge domain* of the policy graph and reconstruct each workload query from
-// a handful of intervals. The same interval appears in many reconstructions,
-// so the noise must be consistent: an Oracle samples its internal noise once
-// and IntervalNoise(l, r) deterministically combines it, exactly as the
-// corresponding matrix mechanism would. Privacy calibration is internal to
-// each oracle: an oracle built with budget ε guarantees that releasing its
-// entire noisy strategy is ε-differentially private with respect to a ±1
-// change of any single position of its domain.
+// a handful of rectangles of edges. The same rectangle appears in many
+// reconstructions, so the noise must be consistent: a Sheet samples its
+// internal noise once and RectNoise(lo, hi) deterministically combines it,
+// exactly as the corresponding matrix mechanism would. A sheet is a grid of
+// positions of any dimension d ≥ 1 (a line at d = 1), and NewSheet builds
+// every OracleKind at every d. Privacy calibration is internal to each
+// sheet: a sheet built with budget ε guarantees that releasing its entire
+// noisy strategy is ε-differentially private with respect to a ±1 change of
+// any single position of its grid.
 package mech
 
 import (
 	"fmt"
 
 	"github.com/privacylab/blowfish/internal/noise"
+	"github.com/privacylab/blowfish/internal/workload"
 )
 
-// Oracle provides consistent noise for interval queries over positions
-// 0..M()−1 of a one-dimensional domain.
-type Oracle interface {
-	// M returns the domain size.
-	M() int
-	// IntervalNoise returns the noise of the mechanism's estimate for the
-	// inclusive interval [l, r]. Calling it twice with the same bounds gives
-	// the same value.
-	IntervalNoise(l, r int) float64
-	// IntervalVariance returns the exact variance of IntervalNoise(l, r)
-	// over the oracle's own randomness, used for analytic error prediction
-	// and tests.
-	IntervalVariance(l, r int) float64
+// Sheet provides consistent noise for hyper-rectangle queries over the
+// positions of a d-dimensional grid. Reads touch no shared state.
+type Sheet interface {
+	// RectNoise returns the noise of the mechanism's estimate for the
+	// inclusive rectangle [lo, hi]. Calling it twice with the same bounds
+	// gives the same value.
+	RectNoise(lo, hi []int) float64
+	// RectVariance returns the exact variance of RectNoise(lo, hi) over the
+	// sheet's own randomness, used for analytic error prediction and tests.
+	RectVariance(lo, hi []int) float64
 }
 
-// OracleKind selects an oracle implementation.
+// OracleKind selects a sheet implementation.
 type OracleKind int
 
-// The oracle implementations.
+// The sheet implementations.
 const (
 	// CellKind adds independent Laplace noise per position (the identity
-	// strategy): interval variance grows linearly with length, best for
-	// point queries and very short intervals.
+	// strategy): rectangle variance grows linearly with its cell count,
+	// best for point queries and very small rectangles.
 	CellKind OracleKind = iota
-	// HierKind uses the binary-tree mechanism of Hay et al.: every node of a
-	// complete binary tree over the domain is measured with Laplace noise
-	// scaled to the tree height; intervals decompose into O(log m) nodes.
+	// HierKind uses the tree mechanism of Hay et al. in tensor form: every
+	// tuple of per-dimension nodes of complete binary trees over the grid
+	// is measured with Laplace noise scaled to the number of tuples a
+	// position lies in; rectangles decompose into products of O(log m)
+	// canonical nodes per dimension.
 	HierKind
-	// PriveletKind uses the Haar wavelet mechanism of Xiao et al. with
-	// per-level weights, giving O(log³ m/ε²) interval variance.
+	// PriveletKind uses the tensor Haar wavelet mechanism of Xiao et al.
+	// with per-coefficient weights, giving O(log^{3d} m/ε²) rectangle
+	// variance.
 	PriveletKind
 )
 
-// NewOracle builds an oracle of the given kind over domain size m with
-// privacy budget eps.
-func NewOracle(kind OracleKind, m int, eps float64, src *noise.Source) Oracle {
+// NewSheet builds a sheet of the given kind over the dims grid with privacy
+// budget eps, drawing its noise from src in a fixed order. At eps <= 0 it
+// draws nothing and its noise is zero. A nil src also draws nothing: the
+// sheet then answers RectVariance only, and RectNoise panics. The sheet
+// keeps dims, which the caller must not change.
+func NewSheet(kind OracleKind, dims []int, eps float64, src *noise.Source) Sheet {
+	if len(dims) == 0 {
+		panic("mech: NewSheet needs at least one dimension")
+	}
 	switch kind {
 	case CellKind:
-		return NewCellOracle(m, eps, src)
-	case HierKind:
-		return NewHierOracle(m, eps, src)
-	case PriveletKind:
-		return NewPriveletOracle(m, eps, src)
+		return newCellSheet(dims, eps, src)
+	case HierKind, PriveletKind:
+		return newTensorSheet(kind, dims, eps, src)
 	default:
 		panic(fmt.Sprintf("mech: unknown oracle kind %d", kind))
 	}
 }
 
-// CellOracle adds Lap(1/ε) noise to every position; interval noise is the
-// sum over the interval, served in O(1) from a prefix-sum table.
-type CellOracle struct {
-	m      int
-	scale  float64
-	prefix []float64 // prefix[i] = sum of cell noise over positions < i
+// cellSheet adds Lap(1/ε) noise to every position; rectangle noise is the
+// sum over the rectangle, read in O(2^d) off the summed-area table of the
+// cell noise. A position change of magnitude 1 changes the released vector
+// by 1 in one coordinate, so per-cell Lap(1/ε) noise is ε-DP.
+type cellSheet struct {
+	dims  []int
+	scale float64
+	table []float64 // summed-area table of the cell noise
 }
 
-// NewCellOracle returns a CellOracle over m positions with budget eps.
-// A single position change of magnitude 1 changes the released vector by 1
-// in one coordinate, so per-cell Lap(1/ε) noise is ε-DP.
-func NewCellOracle(m int, eps float64, src *noise.Source) *CellOracle {
-	o := &CellOracle{m: m, prefix: make([]float64, m+1)}
+func newCellSheet(dims []int, eps float64, src *noise.Source) *cellSheet {
+	s := &cellSheet{dims: dims}
 	if eps > 0 {
-		o.scale = 1 / eps
+		s.scale = 1 / eps
 	}
-	var acc float64
-	for i := 0; i < m; i++ {
-		acc += src.Laplace(o.scale)
-		o.prefix[i+1] = acc
+	if src == nil {
+		return s
 	}
-	return o
+	n := 1
+	for _, m := range dims {
+		n *= m
+	}
+	s.table = workload.SummedAreaTable(dims, src.LaplaceVec(n, s.scale))
+	return s
 }
 
-// M implements Oracle.
-func (o *CellOracle) M() int { return o.m }
-
-// IntervalNoise implements Oracle.
-func (o *CellOracle) IntervalNoise(l, r int) float64 {
-	checkInterval(o.m, l, r)
-	return o.prefix[r+1] - o.prefix[l]
+// RectNoise implements Sheet.
+func (s *cellSheet) RectNoise(lo, hi []int) float64 {
+	checkRect(s.dims, lo, hi)
+	return workload.EvalRangeKd(s.dims, s.table, workload.RangeKd{Lo: lo, Hi: hi})
 }
 
-// IntervalVariance implements Oracle: 2·scale² per cell in the interval.
-func (o *CellOracle) IntervalVariance(l, r int) float64 {
-	checkInterval(o.m, l, r)
-	return float64(r-l+1) * 2 * o.scale * o.scale
+// RectVariance implements Sheet: 2·scale² per cell in the rectangle.
+func (s *cellSheet) RectVariance(lo, hi []int) float64 {
+	checkRect(s.dims, lo, hi)
+	n := 1
+	for i := range s.dims {
+		n *= hi[i] - lo[i] + 1
+	}
+	return float64(n) * 2 * s.scale * s.scale
 }
 
-// HierOracle is the binary-tree mechanism: the domain is padded to a power
-// of two and every tree node holds Laplace noise with scale h/ε where h is
-// the number of levels, since one position lies on exactly one node per
-// level. Interval noise sums the canonical node decomposition.
-type HierOracle struct {
-	m      int
-	size   int // padded power-of-two domain
-	levels int
-	scale  float64
-	nodes  []float64 // heap layout: node i has children 2i+1, 2i+2
-}
-
-// NewHierOracle returns a HierOracle over m positions with budget eps.
-func NewHierOracle(m int, eps float64, src *noise.Source) *HierOracle {
-	size := 1
-	levels := 1
-	for size < m {
-		size *= 2
-		levels++
+func checkRect(dims, lo, hi []int) {
+	if len(lo) != len(dims) || len(hi) != len(dims) {
+		panic(fmt.Sprintf("mech: %d-D rectangle on a %d-D sheet", len(lo), len(dims)))
 	}
-	o := &HierOracle{m: m, size: size, levels: levels, nodes: make([]float64, 2*size-1)}
-	if eps > 0 {
-		o.scale = float64(levels) / eps
+	for i, m := range dims {
+		checkInterval(m, lo[i], hi[i])
 	}
-	for i := range o.nodes {
-		o.nodes[i] = src.Laplace(o.scale)
-	}
-	return o
-}
-
-// M implements Oracle.
-func (o *HierOracle) M() int { return o.m }
-
-// Levels returns the tree height (the per-position sensitivity the noise is
-// calibrated to).
-func (o *HierOracle) Levels() int { return o.levels }
-
-// IntervalNoise implements Oracle.
-func (o *HierOracle) IntervalNoise(l, r int) float64 {
-	checkInterval(o.m, l, r)
-	return o.walk(0, 0, o.size-1, l, r)
-}
-
-func (o *HierOracle) walk(node, a, b, l, r int) float64 {
-	if l <= a && b <= r {
-		return o.nodes[node]
-	}
-	if b < l || r < a {
-		return 0
-	}
-	mid := (a + b) / 2
-	return o.walk(2*node+1, a, mid, l, r) + o.walk(2*node+2, mid+1, b, l, r)
-}
-
-// IntervalVariance implements Oracle: 2·scale² per canonical node used.
-func (o *HierOracle) IntervalVariance(l, r int) float64 {
-	checkInterval(o.m, l, r)
-	return float64(o.countNodes(0, o.size-1, l, r)) * 2 * o.scale * o.scale
-}
-
-func (o *HierOracle) countNodes(a, b, l, r int) int {
-	if l <= a && b <= r {
-		return 1
-	}
-	if b < l || r < a {
-		return 0
-	}
-	mid := (a + b) / 2
-	return o.countNodes(a, mid, l, r) + o.countNodes(mid+1, b, l, r)
 }
 
 func checkInterval(m, l, r int) {

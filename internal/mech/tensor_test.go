@@ -11,7 +11,7 @@ import (
 
 func TestPriveletKdZeroEps(t *testing.T) {
 	src := noise.NewSource(1)
-	o := NewPriveletKd([]int{5, 7}, 0, src)
+	o := NewSheet(PriveletKind, []int{5, 7}, 0, src)
 	if n := o.RectNoise([]int{0, 0}, []int{4, 6}); n != 0 {
 		t.Fatalf("eps=0 noise = %g", n)
 	}
@@ -19,7 +19,7 @@ func TestPriveletKdZeroEps(t *testing.T) {
 
 func TestPriveletKdConsistency(t *testing.T) {
 	src := noise.NewSource(2)
-	o := NewPriveletKd([]int{6, 6}, 1, src)
+	o := NewSheet(PriveletKind, []int{6, 6}, 1, src)
 	a := o.RectNoise([]int{1, 2}, []int{4, 5})
 	b := o.RectNoise([]int{1, 2}, []int{4, 5})
 	if a != b {
@@ -31,7 +31,7 @@ func TestPriveletKdLinearity(t *testing.T) {
 	// Rect noise is linear in the rectangle indicator: a rect equals the sum
 	// of its cells.
 	src := noise.NewSource(3)
-	o := NewPriveletKd([]int{4, 5}, 1, src)
+	o := NewSheet(PriveletKind, []int{4, 5}, 1, src)
 	for r1 := 0; r1 < 4; r1++ {
 		for r2 := r1; r2 < 4; r2++ {
 			for c1 := 0; c1 < 5; c1++ {
@@ -53,11 +53,10 @@ func TestPriveletKdLinearity(t *testing.T) {
 }
 
 func TestPriveletKdMatches1DOracle(t *testing.T) {
-	// A 1-D PriveletKd must behave like the 1-D PriveletOracle (same noise
-	// structure; different draws, so compare variance linearity instead of
-	// values: both must be linear and zero at eps=0).
+	// A 1-D Privelet sheet is the 1-D Privelet mechanism: linear in the
+	// interval indicator on a padded domain.
 	src := noise.NewSource(4)
-	o := NewPriveletKd([]int{9}, 1, src)
+	o := NewSheet(PriveletKind, []int{9}, 1, src)
 	var sum float64
 	for i := 0; i < 9; i++ {
 		sum += o.RectNoise([]int{i}, []int{i})
@@ -73,11 +72,11 @@ func TestPriveletKdEmpiricalMatchesAnalyticVariance(t *testing.T) {
 	dims := []int{16, 16}
 	lo, hi := []int{2, 5}, []int{12, 13}
 	src := noise.NewSource(5)
-	ana := NewPriveletKd(dims, 1, src.Split()).RectVariance(lo, hi)
+	ana := NewSheet(PriveletKind, dims, 1, src.Split()).RectVariance(lo, hi)
 	const trials = 4000
 	var sum, sq float64
 	for i := 0; i < trials; i++ {
-		v := NewPriveletKd(dims, 1, src.Split()).RectNoise(lo, hi)
+		v := NewSheet(PriveletKind, dims, 1, src.Split()).RectNoise(lo, hi)
 		sum += v
 		sq += v * v
 	}
@@ -90,7 +89,7 @@ func TestPriveletKdEmpiricalMatchesAnalyticVariance(t *testing.T) {
 
 func TestPriveletKdDimsMismatchPanics(t *testing.T) {
 	src := noise.NewSource(6)
-	o := NewPriveletKd([]int{4, 4}, 1, src)
+	o := NewSheet(PriveletKind, []int{4, 4}, 1, src)
 	defer func() {
 		if recover() == nil {
 			t.Fatal("dimension mismatch should panic")
@@ -101,7 +100,7 @@ func TestPriveletKdDimsMismatchPanics(t *testing.T) {
 
 func TestPriveletKdThreeDims(t *testing.T) {
 	src := noise.NewSource(7)
-	o := NewPriveletKd([]int{3, 4, 5}, 1, src)
+	o := NewSheet(PriveletKind, []int{3, 4, 5}, 1, src)
 	var sum float64
 	for a := 0; a < 2; a++ {
 		for b := 1; b < 3; b++ {
@@ -121,7 +120,7 @@ func TestQuickPriveletKdLinearity(t *testing.T) {
 		rng := rand.New(rand.NewSource(seed))
 		rows := 2 + rng.Intn(8)
 		cols := 2 + rng.Intn(8)
-		o := NewPriveletKd([]int{rows, cols}, 0.7, noise.NewSource(seed))
+		o := NewSheet(PriveletKind, []int{rows, cols}, 0.7, noise.NewSource(seed))
 		r1 := rng.Intn(rows)
 		r2 := r1 + rng.Intn(rows-r1)
 		c1 := rng.Intn(cols)
@@ -141,13 +140,11 @@ func TestQuickPriveletKdLinearity(t *testing.T) {
 	}
 }
 
-func TestPriveletOracleFullDomainUsesAverageOnly(t *testing.T) {
+func TestPriveletSheetFullDomainUsesAverageOnly(t *testing.T) {
 	// For a power-of-two domain, the full interval cancels all detail
-	// coefficients: noise = m · avg-noise.
-	src := noise.NewSource(8)
-	o := NewPriveletOracle(16, 1, src)
-	full := o.IntervalNoise(0, 15)
-	if math.Abs(full-16*o.avg) > 1e-12 {
-		t.Fatalf("full-domain noise %g != 16·avg %g", full, 16*o.avg)
+	// coefficients: noise = m · avg-noise, the average at table index 0.
+	s := NewSheet(PriveletKind, []int{16}, 1, noise.NewSource(8)).(*tensorSheet)
+	if full := noise1(s, 0, 15); math.Abs(full-16*s.coeff[0]) > 1e-12 {
+		t.Fatalf("full-domain noise %g != 16·avg %g", full, 16*s.coeff[0])
 	}
 }

@@ -102,6 +102,7 @@ func serveAnswer(srv *Server, body []byte) *httptest.ResponseRecorder {
 // per op.
 func BenchmarkAnswerHandler(b *testing.B) {
 	answerCases(b, func(b *testing.B, srv *Server, bodies [][]byte) {
+		b.ReportAllocs()
 		i := 0
 		for b.Loop() {
 			if rec := serveAnswer(srv, bodies[i%len(bodies)]); rec.Code != http.StatusOK {

@@ -41,9 +41,11 @@ func DPPriveletRange1D() Algorithm {
 			return nil, err
 		}
 		noiseInto := func(out []float64, eps float64, src *noise.Source) {
-			oracle := mech.NewPriveletOracle(w.K, eps, src)
+			sheet := mech.NewSheet(mech.PriveletKind, []int{w.K}, eps, src)
+			lo, hi := make([]int, 1), make([]int, 1)
 			for i, r := range ranges {
-				out[i] += oracle.IntervalNoise(r.L, r.R)
+				lo[0], hi[0] = r.L, r.R
+				out[i] += sheet.RectNoise(lo, hi)
 			}
 		}
 		return satPrepared(name, w, []int{w.K}, 0, nil, evalRanges(ranges), noiseInto), nil
@@ -99,9 +101,9 @@ func DPPriveletRangeKd(dims []int) Algorithm {
 			return nil, err
 		}
 		noiseInto := func(out []float64, eps float64, src *noise.Source) {
-			oracle := mech.NewPriveletKd(dims, eps, src)
+			sheet := mech.NewSheet(mech.PriveletKind, dims, eps, src)
 			for i, r := range rects {
-				out[i] += oracle.RectNoise(r.Lo, r.Hi)
+				out[i] += sheet.RectNoise(r.Lo, r.Hi)
 			}
 		}
 		return satPrepared(name, w, dims, 0, nil, evalRects(dims, rects), noiseInto), nil

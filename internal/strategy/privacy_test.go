@@ -17,9 +17,9 @@ import (
 // noise must equal Σ_e (W_G)_{q,e} · η_e, the transformed workload row
 // priced at the sheet oracles' noise. This proves the reconstruction
 // coefficients are exactly the transformed workload — the premise of the
-// matrix-mechanism coupling argument. It runs every line oracle kind on a
-// 5×6 grid and the Privelet sheets of a 3×3×4 grid. The Hier oracle's
-// canonical-node estimate is not linear in the interval, so instead of
+// matrix-mechanism coupling argument. It runs every oracle kind on the
+// lines of a 5×6 grid and the sheets of a 3×3×4 grid. The Hier oracle's
+// canonical-node estimate is not linear in the rectangle, so instead of
 // single-position η_e the test groups the row by sheet, checks that each
 // sheet's support is one box of one coefficient (Lemma 5.1), and prices
 // that box with the sheet's oracle; for a linear oracle the two agree.
@@ -32,6 +32,8 @@ func TestGrid2DReconstructionMatchesTransformedWorkload(t *testing.T) {
 		{"cell/5x6", []int{5, 6}, mech.CellKind},
 		{"hier/5x6", []int{5, 6}, mech.HierKind},
 		{"privelet/5x6", []int{5, 6}, mech.PriveletKind},
+		{"cell/3x3x4", []int{3, 3, 4}, mech.CellKind},
+		{"hier/3x3x4", []int{3, 3, 4}, mech.HierKind},
 		{"privelet/3x3x4", []int{3, 3, 4}, mech.PriveletKind},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
@@ -101,13 +103,7 @@ func checkGridReconstruction(t *testing.T, dims []int, kind mech.OracleKind) {
 			if box != sp.edges {
 				t.Fatalf("query %d (%v): sheet %v support has %d edges, not its %d-edge bounding box", qi, rq, key, sp.edges, box)
 			}
-			var eta float64
-			if s.lines != nil {
-				eta = s.lines[key[0]][key[1]].IntervalNoise(sp.lo[0], sp.hi[0])
-			} else {
-				eta = s.sheets[key[0]][key[1]].RectNoise(sp.lo, sp.hi)
-			}
-			want += sp.coeff * eta
+			want += sp.coeff * s.sheets[key[0]][key[1]].RectNoise(sp.lo, sp.hi)
 		}
 		if math.Abs(got-want) > 1e-9*(1+math.Abs(want)) {
 			t.Fatalf("query %d (%v): strategy noise %g != W_G reconstruction %g", qi, rq, got, want)

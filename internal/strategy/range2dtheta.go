@@ -24,15 +24,15 @@ import (
 // Since R is Q shifted up-left by less than one cube width, 1_Q − 1_R
 // decomposes exactly into four "thin" rectangles, each bounded by the cube
 // side in one dimension (Figure 7d). Thin-in-rows rectangles are served by
-// per-row-band Privelet oracles, thin-in-columns ones by per-column-band
-// oracles; an internal edge participates in one band of each family, so the
+// per-row-band Privelet sheets, thin-in-columns ones by per-column-band
+// sheets; an internal edge participates in one band of each family, so the
 // two families split the internal budget (the paper's ε/d), while external
 // lines are disjoint from everything and use the full budget. All of it runs
 // at ε/stretch per Lemma 4.5.
 //
 // The strategy splits compile-time from release-time data: thetaLayout2D
 // (spanner geometry, per-query lattice intervals and piece decompositions)
-// is computed once per plan, while the oracles — the only randomness — are
+// is computed once per plan, while the sheets — the only randomness — are
 // drawn per release by noised.
 
 // thetaLayout2D is the compile-time geometry of the strategy for one grid.
@@ -52,7 +52,7 @@ func newThetaLayout2D(dims []int, theta int) (*thetaLayout2D, error) {
 		redDims: sp.RedDims, stretch: sp.Stretch}, nil
 }
 
-// noised draws the per-release oracles at budget eps (spent at ε/stretch per
+// noised draws the per-release sheets at budget eps (spent at ε/stretch per
 // Lemma 4.5), in the fixed order external lines, row bands, column bands.
 func (lay *thetaLayout2D) noised(eps float64, src *noise.Source) *thetaGrid2D {
 	s := &thetaGrid2D{thetaLayout2D: *lay}
@@ -71,22 +71,25 @@ func (lay *thetaLayout2D) noised(eps float64, src *noise.Source) *thetaGrid2D {
 		half := effEps / 2
 		for r0 := 0; r0 < lay.rows; r0 += lay.cell {
 			h := min(lay.cell, lay.rows-r0)
-			s.rowBands = append(s.rowBands, mech.NewPriveletKd([]int{h, lay.cols}, half, src))
+			s.rowBands = append(s.rowBands, mech.NewSheet(mech.PriveletKind, []int{h, lay.cols}, half, src))
 		}
 		for c0 := 0; c0 < lay.cols; c0 += lay.cell {
 			w := min(lay.cell, lay.cols-c0)
-			s.colBands = append(s.colBands, mech.NewPriveletKd([]int{lay.rows, w}, half, src))
+			s.colBands = append(s.colBands, mech.NewSheet(mech.PriveletKind, []int{lay.rows, w}, half, src))
 		}
 	}
 	return s
 }
 
-// thetaGrid2D is one release's noised strategy: the layout plus its oracles.
+// thetaGrid2D is one release's noised strategy: the layout, its sheets and
+// the bounds of the band rectangle being read. It is not safe for
+// concurrent use.
 type thetaGrid2D struct {
 	thetaLayout2D
 	external *gridKdStrategy
-	rowBands []*mech.PriveletKd // band b covers rows [b·cell, …]
-	colBands []*mech.PriveletKd
+	rowBands []mech.Sheet // band b covers rows [b·cell, …]
+	colBands []mech.Sheet
+	lo, hi   [2]int
 }
 
 // latticeInterval returns the lattice coordinates [A1, A2] of red positions
@@ -155,7 +158,7 @@ func (lay *thetaLayout2D) internalPieces(q rect) []piece {
 	return out
 }
 
-// internalNoise sums band-oracle noise for one signed thin rectangle,
+// internalNoise sums band-sheet noise for one signed thin rectangle,
 // splitting it at band boundaries (a thin rectangle spans at most two
 // bands).
 func (s *thetaGrid2D) internalNoise(p piece) float64 {
@@ -167,8 +170,8 @@ func (s *thetaGrid2D) internalNoise(p piece) float64 {
 			if hi > s.rows-1 {
 				hi = s.rows - 1
 			}
-			total += s.rowBands[b].RectNoise(
-				[]int{lo - b*s.cell, p.rect.c1}, []int{hi - b*s.cell, p.rect.c2})
+			s.lo, s.hi = [2]int{lo - b*s.cell, p.rect.c1}, [2]int{hi - b*s.cell, p.rect.c2}
+			total += s.rowBands[b].RectNoise(s.lo[:], s.hi[:])
 		}
 	} else {
 		for b := p.rect.c1 / s.cell; b*s.cell <= p.rect.c2; b++ {
@@ -177,8 +180,8 @@ func (s *thetaGrid2D) internalNoise(p piece) float64 {
 			if hi > s.cols-1 {
 				hi = s.cols - 1
 			}
-			total += s.colBands[b].RectNoise(
-				[]int{p.rect.r1, lo - b*s.cell}, []int{p.rect.r2, hi - b*s.cell})
+			s.lo, s.hi = [2]int{p.rect.r1, lo - b*s.cell}, [2]int{p.rect.r2, hi - b*s.cell}
+			total += s.colBands[b].RectNoise(s.lo[:], s.hi[:])
 		}
 	}
 	return p.sign * total
@@ -196,9 +199,9 @@ type thetaQueryPlan struct {
 // ThetaGridRange2D returns the Theorem 5.6 algorithm for 2-D range queries
 // under G^θ_{k²}. Prepare computes the spanner geometry and every query's
 // lattice interval and piece decomposition once; the hot path draws the
-// oracles, builds the summed-area table and assembles the precompiled
+// sheets, builds the summed-area table and assembles the precompiled
 // terms. Past the cfg sharding threshold the table is blocked into dim-0
-// slabs (see shard.go); the spanner oracle pass is unaffected.
+// slabs (see shard.go); the sheet pass is unaffected.
 func ThetaGridRange2D(dims []int, theta int, cfg Config) Algorithm {
 	name := fmt.Sprintf("Transformed + Privelet (theta=%d)", theta)
 	return Algorithm{Name: name, Prepare: func(w *workload.Workload) (*Prepared, error) {
@@ -229,7 +232,7 @@ func ThetaGridRange2D(dims []int, theta int, cfg Config) Algorithm {
 		}
 		compilations.Add(1)
 		evalFn, blockRows := gridTruth(dims, rects, cfg)
-		// noiseInto is the per-release oracle pass (see rangekd.go).
+		// noiseInto is the per-release sheet pass (see rangekd.go).
 		noiseInto := func(out []float64, eps float64, src *noise.Source) {
 			s := lay.noised(eps, src)
 			for i := range plans {

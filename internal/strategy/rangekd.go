@@ -17,55 +17,47 @@ import (
 // sheet, so each sheet gets the full ε (parallel composition). Per Lemma 5.1
 // a transformed range query is supported on its ≤ 2d boundary faces
 // (Figure 5), each a constant-sign (d−1)-dimensional rectangle inside one
-// sheet. The strategy publishes a noise oracle per sheet and reconstructs
-// every query as its true answer plus the signed oracle noise of its faces.
-// Privacy follows the matrix-mechanism coupling of Theorem 4.1: the
-// reconstruction coefficients on edge f are exactly (W_G)_{·f}, and a unit
-// change along f shifts one position of one sheet, which each oracle
-// calibrates its noise to.
+// sheet. The strategy publishes a noise oracle (mech.Sheet) per sheet and
+// reconstructs every query as its true answer plus the signed oracle noise
+// of its faces. Privacy follows the matrix-mechanism coupling of
+// Theorem 4.1: the reconstruction coefficients on edge f are exactly
+// (W_G)_{·f}, and a unit change along f shifts one position of one sheet,
+// which each oracle calibrates its noise to.
 //
-// The sheets of a d ≤ 2 grid are lines, served by a 1-D oracle of any
-// mech.OracleKind: Privelet is the paper's strategy and its
-// O(d·log^{3(d−1)}k/ε²) bound, Cell and Hier are the Section 6 ablations.
-// The sheets of a d ≥ 3 grid are tensor Privelet oracles (mech.PriveletKd).
+// Every oracle of a release has the one mech.OracleKind at every d:
+// Privelet is the paper's strategy and its O(d·log^{3(d−1)}k/ε²) bound,
+// Cell and Hier are the Section 6 ablations.
 
-// gridKdStrategy is one release's noised strategy: an oracle per sheet,
+// gridKdStrategy is one release's noised strategy: a sheet per (i, j),
 // drawn in the fixed order dimension 0's sheets first, and the bounds of
 // the face being read. It is not safe for concurrent use.
 type gridKdStrategy struct {
 	dims []int
-	// lines[i][j] (d ≤ 2) or sheets[i][j] (d ≥ 3) covers the edges along
-	// dimension i between slices j and j+1; its domain is dims with
-	// dimension i removed. A dimension of size 1 has none.
-	lines          [][]mech.Oracle
-	sheets         [][]*mech.PriveletKd
+	// sheets[i][j] covers the edges along dimension i between slices j and
+	// j+1; its grid is dims with dimension i removed. A dimension of size 1
+	// has none.
+	sheets         [][]mech.Sheet
 	faceLo, faceHi []int
 }
 
+// newGridKdStrategy draws the sheets at budget eps from src; a nil src
+// draws nothing and leaves a strategy that answers queryVariance only.
 func newGridKdStrategy(dims []int, kind mech.OracleKind, eps float64, src *noise.Source) *gridKdStrategy {
 	d := len(dims)
-	s := &gridKdStrategy{dims: dims, faceLo: make([]int, max(d-1, 1)), faceHi: make([]int, max(d-1, 1))}
+	s := &gridKdStrategy{dims: dims, sheets: make([][]mech.Sheet, d),
+		faceLo: make([]int, max(d-1, 1)), faceHi: make([]int, max(d-1, 1))}
 	for i := range dims {
 		rest := restDims(dims, i)
-		if d > 2 {
-			sheets := make([]*mech.PriveletKd, dims[i]-1)
-			for j := range sheets {
-				sheets[j] = mech.NewPriveletKd(rest, eps, src)
-			}
-			s.sheets = append(s.sheets, sheets)
-			continue
+		s.sheets[i] = make([]mech.Sheet, dims[i]-1)
+		for j := range s.sheets[i] {
+			s.sheets[i][j] = mech.NewSheet(kind, rest, eps, src)
 		}
-		lines := make([]mech.Oracle, dims[i]-1)
-		for j := range lines {
-			lines[j] = mech.NewOracle(kind, rest[0], eps, src)
-		}
-		s.lines = append(s.lines, lines)
 	}
 	return s
 }
 
 // restDims returns dims with dimension drop removed; a 0-dimensional result
-// (d = 1) becomes the singleton {1} so the oracle still has one cell.
+// (d = 1) becomes the singleton {1} so each sheet still has one edge.
 func restDims(dims []int, drop int) []int {
 	rest := make([]int, 0, len(dims)-1)
 	for i, v := range dims {
@@ -96,17 +88,11 @@ func (s *gridKdStrategy) face(i int, lo, hi []int) {
 
 // faceNoise returns the noise of the loaded face in sheet (i, j).
 func (s *gridKdStrategy) faceNoise(i, j int) float64 {
-	if s.lines != nil {
-		return s.lines[i][j].IntervalNoise(s.faceLo[0], s.faceHi[0])
-	}
 	return s.sheets[i][j].RectNoise(s.faceLo, s.faceHi)
 }
 
 // faceVariance returns the variance of faceNoise(i, j).
 func (s *gridKdStrategy) faceVariance(i, j int) float64 {
-	if s.lines != nil {
-		return s.lines[i][j].IntervalVariance(s.faceLo[0], s.faceHi[0])
-	}
 	return s.sheets[i][j].RectVariance(s.faceLo, s.faceHi)
 }
 
@@ -143,31 +129,23 @@ func (s *gridKdStrategy) queryVariance(lo, hi []int) float64 {
 }
 
 // GridPolicyRangeKd returns the Theorem 5.4 algorithm for d-dimensional
-// range queries under G¹_{k^d}, with line oracles of the given kind at
-// d = 2 ("Transformed + Privelet", or the "Transformed + Laplace" and
-// "Transformed + Hierarchical" ablations) and Privelet sheets otherwise
-// ("Transformed + Privelet (d=N)"; Prepare rejects any other kind there).
-// Every dimension must be at least 2. Prepare validates and unpacks the
-// query rectangles once; the hot path draws the per-sheet oracles (the only
-// per-release randomness), builds the summed-area table and reads the ≤ 2d
-// boundary faces per query. Past the cfg sharding threshold the table is
-// blocked into dim-0 slabs (see shard.go); the oracle pass is unaffected.
+// range queries under G¹_{k^d}, with sheets of the given kind: at d = 2
+// "Transformed + Privelet", or the "Transformed + Laplace" and
+// "Transformed + Hierarchical" ablations; at any other d the same names
+// with " (d=N)" appended. Every dimension must be at least 2. Prepare
+// validates and unpacks the query rectangles once; the hot path draws the
+// sheets (the only per-release randomness), builds the summed-area table
+// and reads the ≤ 2d boundary faces per query. Past the cfg sharding
+// threshold the table is blocked into dim-0 slabs (see shard.go); the
+// sheet pass is unaffected.
 func GridPolicyRangeKd(dims []int, kind mech.OracleKind, cfg Config) Algorithm {
-	name := fmt.Sprintf("Transformed + Privelet (d=%d)", len(dims))
-	if len(dims) == 2 {
-		switch kind {
-		case mech.CellKind:
-			name = "Transformed + Laplace"
-		case mech.HierKind:
-			name = "Transformed + Hierarchical"
-		default:
-			name = "Transformed + Privelet"
-		}
+	name := "Transformed + " + oracleKindName(kind)
+	if len(dims) != 2 {
+		name += fmt.Sprintf(" (d=%d)", len(dims))
 	}
 	return Algorithm{Name: name, Prepare: func(w *workload.Workload) (*Prepared, error) {
-		ablation := kind == mech.CellKind || kind == mech.HierKind
-		if kind != mech.PriveletKind && !(ablation && len(dims) == 2) {
-			return nil, fmt.Errorf("strategy: GridPolicyRangeKd has no oracle kind %d sheets on a %d-D grid", kind, len(dims))
+		if kind < mech.CellKind || kind > mech.PriveletKind {
+			return nil, fmt.Errorf("strategy: GridPolicyRangeKd has no oracle kind %d", kind)
 		}
 		k := 1
 		for _, v := range dims {
@@ -185,7 +163,7 @@ func GridPolicyRangeKd(dims []int, kind mech.OracleKind, cfg Config) Algorithm {
 		}
 		compilations.Add(1)
 		evalFn, blockRows := gridTruth(dims, rects, cfg)
-		// noiseInto is the per-release oracle pass. The oracles are the
+		// noiseInto is the per-release sheet pass. The sheets are the
 		// only randomness; they draw the same Source values whether the
 		// table is built fresh per release or incrementally maintained.
 		noiseInto := func(out []float64, eps float64, src *noise.Source) {
@@ -199,11 +177,11 @@ func GridPolicyRangeKd(dims []int, kind mech.OracleKind, cfg Config) Algorithm {
 }
 
 // GridPolicyRangeKdVariance returns the analytic per-query error of the
-// Theorem 5.4 strategy with Privelet sheets for one query, for tests and
-// error prediction (variance is data independent).
-func GridPolicyRangeKdVariance(dims []int, eps float64, q workload.RangeKd, src *noise.Source) float64 {
-	s := newGridKdStrategy(dims, mech.PriveletKind, eps, src)
-	return s.queryVariance(q.Lo, q.Hi)
+// Theorem 5.4 strategy with sheets of the given kind for one query, for
+// tests and error prediction (variance is data independent). It reads the
+// sheets' noise scales and draws nothing.
+func GridPolicyRangeKdVariance(dims []int, kind mech.OracleKind, eps float64, q workload.RangeKd) float64 {
+	return newGridKdStrategy(dims, kind, eps, nil).queryVariance(q.Lo, q.Hi)
 }
 
 // Marginal workloads under grid policies are sums of full-extent range

@@ -6,8 +6,8 @@
 // policies (the grid G¹_{k^d}, G^θ_{k²}) go through matrix-mechanism-style
 // strategies (Theorem 4.1): noisy interval answers over the edge domain with
 // noise calibrated to per-edge participation, reconstructed per query. One
-// Theorem 5.4 strategy (rangekd.go) serves the grid at every d, with line
-// oracles of any mech.OracleKind at d = 2; the θ-grid strategy of
+// Theorem 5.4 strategy (rangekd.go) serves the grid at every d, with one
+// mech.Sheet of any mech.OracleKind per policy sheet; the θ-grid strategy of
 // Theorem 5.6 (range2dtheta.go) runs it on its external lattice.
 //
 // Every strategy is built one way: its constructor returns an Algorithm
@@ -68,7 +68,9 @@ func (a Algorithm) Run(w *workload.Workload, x []float64, eps float64, src *nois
 }
 
 // Estimator produces a private estimate of a transformed database vector
-// under unbounded differential privacy (one coordinate changing by ±1).
+// under unbounded differential privacy (one coordinate changing by ±1). It
+// must not write xg and must return a fresh slice: a stream's concurrent
+// answers pass it the one maintained x_G.
 type Estimator func(xg []float64, eps float64, src *noise.Source) []float64
 
 // LaplaceEstimator estimates the vector by per-coordinate Laplace noise with

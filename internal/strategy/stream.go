@@ -62,10 +62,9 @@ type State struct {
 	patches    int64
 }
 
+// newState wraps m, freshly built over x, so it is not rebuilt here.
 func newState(name string, x []float64, m maintained, denseCost int) *State {
-	st := &State{name: name, k: len(x), x: append([]float64(nil), x...), m: m, denseCost: denseCost}
-	st.m.recompute(st.x)
-	return st
+	return &State{name: name, k: len(x), x: append([]float64(nil), x...), m: m, denseCost: denseCost}
 }
 
 // K returns the domain size.
@@ -215,10 +214,9 @@ func (t *treeState) answer(eps float64, src *noise.Source) ([]float64, error) {
 	if eps > 0 {
 		effEps = core.EffectiveEpsilon(eps, t.stretch)
 	}
-	// Estimators receive a private copy: data-dependent ones (DAWA) may hold
-	// references, and concurrent answers must not share a mutable buffer.
-	xg := append([]float64(nil), t.xg...)
-	xge := t.est(xg, effEps, src)
+	// Estimators never write their input (see Estimator), so concurrent
+	// answers share x_G.
+	xge := t.est(t.xg, effEps, src)
 	out := make([]float64, t.queries)
 	if t.aliasCoeffs != nil {
 		for i, c := range t.aliasCoeffs {

@@ -16,7 +16,7 @@ import (
 // — all edges attached to one red vertex from its left (Figure 6d). Ordering
 // a group's edges by left endpoint, a transformed range query touches at
 // most one contiguous constant-sign run in each of at most two groups, so
-// answering all intra-group ranges with a Privelet oracle per group (groups
+// answering all intra-group ranges with a 1-D Privelet sheet per group (groups
 // are disjoint: parallel composition) yields O(log³θ/ε²) error per query,
 // paid for with the stretch-3 budget of Lemma 4.5.
 
@@ -119,13 +119,13 @@ type edgeRun struct {
 }
 
 // ThetaLineGrouped returns the Theorem 5.5 data-independent algorithm for
-// 1-D range queries under G^θ_k with per-group oracles of the given kind
+// 1-D range queries under G^θ_k with per-group 1-D sheets of the given kind
 // (PriveletKind gives the paper's O(log³θ/ε²) bound; CellKind matches the
 // "Transformed + Laplace" experimental variant but served group-wise).
 // Prepare computes the spanner layout and each query's constant-sign runs
 // once (also making the plan safe for concurrent releases — the layout's
 // support index scratch is only touched there), so the hot path is
-// group-oracle construction, prefix sums, and run lookups.
+// group-sheet construction, prefix sums, and run lookups.
 func ThetaLineGrouped(k, theta int, kind mech.OracleKind) Algorithm {
 	name := fmt.Sprintf("ThetaLine(%s)", oracleKindName(kind))
 	return Algorithm{Name: name, Prepare: func(w *workload.Workload) (*Prepared, error) {
@@ -145,19 +145,21 @@ func ThetaLineGrouped(k, theta int, kind mech.OracleKind) Algorithm {
 			runs[i] = lay.runsForQuery(r)
 		}
 		compilations.Add(1)
-		// noiseInto is the per-release oracle pass (see rangekd.go).
+		// noiseInto is the per-release sheet pass (see rangekd.go).
 		noiseInto := func(out []float64, eps float64, src *noise.Source) {
 			effEps := eps
 			if eps > 0 {
 				effEps = core.EffectiveEpsilon(eps, lay.stretch)
 			}
-			oracles := make([]mech.Oracle, len(lay.groupSizes))
+			sheets := make([]mech.Sheet, len(lay.groupSizes))
 			for g, sz := range lay.groupSizes {
-				oracles[g] = mech.NewOracle(kind, sz, effEps, src)
+				sheets[g] = mech.NewSheet(kind, []int{sz}, effEps, src)
 			}
+			lo, hi := make([]int, 1), make([]int, 1)
 			for i := range ranges {
 				for _, run := range runs[i] {
-					out[i] += run.sign * oracles[run.group].IntervalNoise(run.lo, run.hi)
+					lo[0], hi[0] = run.lo, run.hi
+					out[i] += run.sign * sheets[run.group].RectNoise(lo, hi)
 				}
 			}
 		}
