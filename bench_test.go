@@ -444,7 +444,7 @@ func BenchmarkAnswerSparse(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		prep, err := strategy.CompileTreeDense("blowfish(tree)", tr, 1, strategy.LaplaceEstimator, w, strategy.Config{})
+		prep, err := strategy.CompileTreeDense("blowfish(tree)", tr, 1, strategy.LaplaceEstimator, w)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -482,7 +482,7 @@ func BenchmarkAnswerSparse(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	prep, err := strategy.CompileTree("blowfish(tree)", tr, 1, strategy.LaplaceEstimator, w, strategy.Config{})
+	prep, err := strategy.CompileTree("blowfish(tree)", tr, 1, strategy.LaplaceEstimator, w)
 	if err != nil {
 		b.Fatal(err)
 	}

@@ -36,11 +36,14 @@ func timing(column string) bool {
 	return strings.Contains(c, "s/") || strings.HasSuffix(c, " ms")
 }
 
-// gate compares every gated cell present in both reports, matching
-// experiments by id, tables by title and rows by label; pairs present on
-// only one side are logged and skipped. A cell fails when
-// current < baseline*(1-tolerance); improvements never fail. Speedup cells
-// are skipped when every baseline timing column in the row sits below
+// gate compares every gated cell of the baseline against the current
+// report, matching experiments by id, tables by title and rows by label. A
+// baseline experiment, table or gated cell missing from the current report
+// fails, so a deleted measurement cannot drop out of its gate silently: its
+// baseline must be edited along with it. A cell fails when
+// current < baseline*(1-tolerance); improvements never fail. Cells with a
+// degenerate baseline (NaN, infinite or not positive) are skipped, and so
+// are speedup cells whose row has every baseline timing column below
 // minGateSeconds.
 func gate(base, cur *benchReport, tolerance float64) result {
 	var res result
@@ -51,7 +54,7 @@ func gate(base, cur *benchReport, tolerance float64) result {
 	for _, be := range base.Experiments {
 		ce, ok := curExp[be.ID]
 		if !ok {
-			res.Log = append(res.Log, fmt.Sprintf("SKIP %s: experiment missing from current report", be.ID))
+			res.fail(fmt.Sprintf("%s: experiment missing from current report", be.ID))
 			continue
 		}
 		curTab := make(map[string]*eval.Table, len(ce.Tables))
@@ -61,13 +64,19 @@ func gate(base, cur *benchReport, tolerance float64) result {
 		for _, bt := range be.Tables {
 			ct, ok := curTab[bt.Title]
 			if !ok {
-				res.Log = append(res.Log, fmt.Sprintf("SKIP %s: table %q missing from current report", be.ID, bt.Title))
+				res.fail(fmt.Sprintf("%s: table %q missing from current report", be.ID, bt.Title))
 				continue
 			}
 			gateTable(&res, be.ID, bt, ct, tolerance)
 		}
 	}
 	return res
+}
+
+// fail records a violation in the trail.
+func (r *result) fail(msg string) {
+	r.Violations = append(r.Violations, msg)
+	r.Log = append(r.Log, "FAIL "+msg)
 }
 
 func gateTable(res *result, id string, bt, ct *eval.Table, tolerance float64) {
@@ -83,26 +92,28 @@ func gateTable(res *result, id string, bt, ct *eval.Table, tolerance float64) {
 			if !gated(col) {
 				continue
 			}
-			cv, err := ct.Cell(label, col)
-			if err != nil {
-				res.Log = append(res.Log, fmt.Sprintf("SKIP %s %q %q: missing from current report", id, label, col))
-				continue
-			}
 			bv := bc[i]
-			cell := fmt.Sprintf("%s %q %q: baseline %.4g current %.4g", id, label, col, bv, cv)
+			cell := fmt.Sprintf("%s %q %q: baseline %.4g", id, label, col, bv)
 			switch {
 			case strings.Contains(strings.ToLower(col), "speedup") && !measurable:
 				res.Skipped++
 				res.Log = append(res.Log, "SKIP "+cell+fmt.Sprintf(" (baseline timings below %g s)", minGateSeconds))
+				continue
 			case math.IsNaN(bv) || math.IsInf(bv, 0) || bv <= 0:
 				res.Skipped++
 				res.Log = append(res.Log, "SKIP "+cell+" (baseline not positive finite)")
-			case math.IsNaN(cv) || cv < bv*(1-tolerance):
-				res.Compared++
-				res.Violations = append(res.Violations, cell)
-				res.Log = append(res.Log, "FAIL "+cell)
-			default:
-				res.Compared++
+				continue
+			}
+			cv, err := ct.Cell(label, col)
+			if err != nil {
+				res.fail(cell + ", missing from current report")
+				continue
+			}
+			cell += fmt.Sprintf(" current %.4g", cv)
+			res.Compared++
+			if math.IsNaN(cv) || cv < bv*(1-tolerance) {
+				res.fail(cell)
+			} else {
 				res.Log = append(res.Log, "PASS "+cell)
 			}
 		}

@@ -97,21 +97,43 @@ func TestGateMinSecondsSkipsJitterySpeedups(t *testing.T) {
 	}
 }
 
-func TestGateSkipsUnmatchedAndDegenerate(t *testing.T) {
+func TestGateFailsUnmatchedAndSkipsDegenerate(t *testing.T) {
+	// A baseline experiment, table or row missing from the current report
+	// fails: a deleted measurement cannot leave its gate silently.
 	base := mkReport(20, 0.9, 1e-3)
 	base.Experiments = append(base.Experiments, benchRecord{ID: "ghost"})
-	cur := mkReport(20, 0.9, 1e-3)
-	cur.Experiments[0].Tables[0].Rows[0] = "k=9999"
-	res := gate(base, cur, 0.5)
-	if res.Compared != 0 || len(res.Violations) != 0 {
-		t.Fatalf("unmatched rows compared: %+v", res)
+	res := gate(base, mkReport(20, 0.9, 1e-3), 0.5)
+	if len(res.Violations) != 1 || !strings.Contains(res.Violations[0], "ghost: experiment missing") {
+		t.Fatalf("missing experiment not flagged: %+v", res)
 	}
-	// NaN baseline (e.g. a zero-time division) is skipped, NaN current fails.
+	cur := mkReport(20, 0.9, 1e-3)
+	cur.Experiments[0].Tables[0].Title = "renamed"
+	res = gate(mkReport(20, 0.9, 1e-3), cur, 0.5)
+	if len(res.Violations) != 1 || !strings.Contains(res.Violations[0], `table "hot path" missing`) {
+		t.Fatalf("missing table not flagged: %+v", res)
+	}
+	cur = mkReport(20, 0.9, 1e-3)
+	cur.Experiments[0].Tables[0].Rows[0] = "k=9999"
+	res = gate(mkReport(20, 0.9, 1e-3), cur, 0.5)
+	if res.Compared != 0 || len(res.Violations) != 2 {
+		t.Fatalf("missing row should fail both gated cells: %+v", res)
+	}
+	// A current report may carry extra experiments, tables and rows.
+	res = gate(mkReport(20, 0.9, 1e-3), base, 0.5)
+	if len(res.Violations) != 0 || res.Compared != 2 {
+		t.Fatalf("extra current entries handled wrong: %+v", res)
+	}
+	// NaN baseline (e.g. a zero-time division) is skipped, even when its
+	// cell is gone from the current report; NaN current fails.
 	base = mkReport(20, 0.9, 1e-3)
 	base.Experiments[0].Tables[0].Cells[0][2] = math.NaN()
 	res = gate(base, mkReport(20, 0.9, 1e-3), 0.5)
-	if len(res.Violations) != 0 || res.Compared != 1 {
+	if len(res.Violations) != 0 || res.Compared != 1 || res.Skipped != 1 {
 		t.Fatalf("NaN baseline handled wrong: %+v", res)
+	}
+	res = gate(base, cur, 0.5)
+	if len(res.Violations) != 1 || !strings.Contains(res.Violations[0], "batch ratio") || res.Skipped != 1 {
+		t.Fatalf("NaN baseline on a missing row handled wrong: %+v", res)
 	}
 	cur = mkReport(20, 0.9, 1e-3)
 	cur.Experiments[0].Tables[0].Cells[0][2] = math.NaN()

@@ -155,7 +155,8 @@ func loadBaseline(path string, set map[string]bool) *benchReport {
 }
 
 // gateExit prints the gate's audit trail of fresh against base and returns
-// the exit code: 1 on a regression beyond tolerance or an empty gate.
+// the exit code: 1 on a regression beyond tolerance, a baseline entry
+// missing from fresh, or an empty gate.
 func gateExit(path string, base, fresh *benchReport, tolerance float64) int {
 	res := gate(base, fresh, tolerance)
 	for _, line := range res.Log {
@@ -163,7 +164,7 @@ func gateExit(path string, base, fresh *benchReport, tolerance float64) int {
 	}
 	switch {
 	case len(res.Violations) > 0:
-		fmt.Fprintf(os.Stderr, "blowfishbench: %s: %d regression(s) beyond tolerance %.2f (FAIL lines above)\n", path, len(res.Violations), tolerance)
+		fmt.Fprintf(os.Stderr, "blowfishbench: %s: %d gate failure(s): regressions beyond tolerance %.2f or baseline entries missing (FAIL lines above)\n", path, len(res.Violations), tolerance)
 		return 1
 	case res.Compared == 0:
 		fmt.Fprintf(os.Stderr, "blowfishbench: %s: no comparable cells\n", path)

@@ -85,7 +85,7 @@ func main() {
 		tenantQPS   = flag.Float64("tenant-qps", 0, "per-tenant request rate limit in req/s (0 = unlimited)")
 		tenantBurst = flag.Int("tenant-burst", 0, "token-bucket burst behind -tenant-qps (0 = ceil(qps))")
 		seed        = flag.Int64("seed", 0, "noise seed (0 = from the clock; set only for reproducible tests)")
-		parallel    = flag.Int("parallel", 0, "width of the compile and kernel worker pool (0 = one per CPU)")
+		parallel    = flag.Int("parallel", 0, "width of each engine's worker pool for sharded grid compiles (0 = the shared pool, one per CPU)")
 		dataDir     = flag.String("data-dir", "", "directory for durable ledgers and stream snapshots (empty = in-memory only)")
 		snapEvery   = flag.Duration("snapshot-interval", 0, "how often to fold the WAL into a fresh snapshot (0 = 1m, negative = only at shutdown)")
 		maxInFlight = flag.Int("max-inflight", 0, "max concurrently executing answer/update requests; excess is queued or shed 503 \"overloaded\" (0 = unlimited)")

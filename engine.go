@@ -24,22 +24,26 @@ type EngineOptions struct {
 	Budget Budget
 
 	// Parallelism caps the worker fan-out of AnswerBatch calls on this
-	// Engine's plans: <= 0 (the default) draws from the process-wide
-	// shared pool (one worker per CPU, shared with the kernels so nested
-	// fan-outs cannot multiply goroutines); n >= 1 gives the Engine a
-	// dedicated pool of n workers.
+	// Engine's plans, and of the sharded grid compiles' query clipping and
+	// blocked table rebuilds: <= 0 (the default) draws from the
+	// process-wide shared pool (one worker per CPU, shared with the kernels
+	// so nested fan-outs cannot multiply goroutines); n >= 1 gives the
+	// Engine a dedicated pool of n workers. Kernels always run on the
+	// shared pool.
 	Parallelism int
 
-	// ShardBlock controls domain sharding of strategy compiles and
-	// reconstructions (ROADMAP "Domain sharding past 10⁶ cells"). 0 (the
-	// default) is automatic: domains larger than 65536 cells shard into
-	// contiguous blocks of that size, compiled as parallel work items and
-	// reduced in fixed block order so answers are bitwise independent of
-	// worker count; smaller domains keep the exact pre-sharding path. A
-	// value n >= 1 forces blocks of at most n cells (grid domains round to
-	// whole dim-0 slices); n < 0 disables sharding entirely. Streams opened
-	// from a sharded plan maintain per-block summed-area tables, capping
-	// Stream.Apply patch cost at the block size instead of the domain size.
+	// ShardBlock controls domain sharding of grid strategy compiles and
+	// their summed-area tables (the grid and θ-grid policies; ROADMAP
+	// "Domain sharding past 10⁶ cells"). 0 (the default) is automatic:
+	// domains larger than 65536 cells shard into contiguous blocks of that
+	// size, built as parallel work items and reduced in fixed block order so
+	// answers are bitwise independent of worker count; smaller domains keep
+	// the exact pre-sharding path. A value n >= 1 forces blocks of at most n
+	// cells, rounded to whole dim-0 slices; n < 0 disables sharding
+	// entirely. Streams opened from a sharded plan maintain per-block
+	// summed-area tables, capping Stream.Apply patch cost at the block size
+	// instead of the domain size. Tree-policy strategies ignore ShardBlock:
+	// they compile in one serial pass.
 	ShardBlock int
 }
 
@@ -74,7 +78,7 @@ type Engine struct {
 	p    *policy.Policy
 	acct *Accountant
 	pool *par.Pool
-	cfg  strategy.Config // sharding knobs threaded into every compile
+	cfg  strategy.Config // sharding knobs threaded into every grid compile
 
 	// mu guards trees, the per-(branch, theta) transform artifact cache.
 	// Artifacts are immutable once stored, so Plans use them lock-free.
@@ -205,13 +209,13 @@ func (e *Engine) algorithm(w *Workload, opts Options) (Algorithm, error) {
 		if err != nil {
 			return Algorithm{}, err
 		}
-		return strategy.TreePolicy(art.name, art.tr, art.stretch, estimatorFunc(opts), e.cfg), nil
+		return strategy.TreePolicy(art.name, art.tr, art.stretch, estimatorFunc(opts)), nil
 	case len(p.Dims) == 1 && theta >= 1:
 		art, err := e.treeArtifact(treeKey{branch: "theta-line", theta: theta})
 		if err != nil {
 			return Algorithm{}, err
 		}
-		return strategy.TreePolicy(art.name, art.tr, art.stretch, estimatorFunc(opts), e.cfg), nil
+		return strategy.TreePolicy(art.name, art.tr, art.stretch, estimatorFunc(opts)), nil
 	case len(p.Dims) >= 2 && theta == 1 && rangesOnly(w):
 		return strategy.GridPolicyRangeKd(p.Dims, mech.PriveletKind, e.cfg), nil
 	case len(p.Dims) == 2 && theta > 1 && rangesOnly(w):
@@ -222,7 +226,7 @@ func (e *Engine) algorithm(w *Workload, opts Options) (Algorithm, error) {
 		if err != nil {
 			return Algorithm{}, err
 		}
-		return strategy.TreePolicy(art.name, art.tr, art.stretch, estimatorFunc(opts), e.cfg), nil
+		return strategy.TreePolicy(art.name, art.tr, art.stretch, estimatorFunc(opts)), nil
 	default:
 		return Algorithm{}, fmt.Errorf("blowfish: policy %q is disconnected; split it with SplitComponents: %w",
 			p.Name, ErrDisconnectedPolicy)
@@ -331,8 +335,9 @@ func (pl *Plan) AnswerWith(ctx context.Context, acct *Accountant, x []float64, e
 // AnswerBatch releases the plan's workload over every database in xs at
 // budget eps each, charging the Accountant for all of them atomically
 // (all or nothing) and fanning the releases out over the Engine's worker
-// pool (so batch fan-out and the kernels inside each release draw from one
-// goroutine budget). Noise streams are pre-split from src in serial order,
+// pool (under the default Parallelism that is the shared pool, so batch
+// fan-out and the kernels inside each release draw from one goroutine
+// budget). Noise streams are pre-split from src in serial order,
 // so the results are identical to len(xs) sequential Answer calls each
 // given src.Split().
 func (pl *Plan) AnswerBatch(xs [][]float64, eps float64, src *Source) ([][]float64, error) {

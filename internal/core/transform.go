@@ -365,61 +365,6 @@ func (t *Transform) pinvOperator() (sparse.Operator, error) {
 	return t.pinvOp, t.pinvErr
 }
 
-// DatabaseOperator returns the x → x_G map (the full K-length vertex
-// histogram in, exactly like DatabaseTransform) as a sparse.Operator: the
-// O(k) structure-aware subtree-sum operator for tree policies (no matrix is
-// materialized at all), or the density-selected pseudo-inverse operator —
-// wrapped so it performs the ⊥/alias reduction itself — otherwise. Both
-// branches therefore share one input contract. The operator is immutable
-// and safe for concurrent Apply.
-func (t *Transform) DatabaseOperator() (sparse.Operator, error) {
-	if t.isTree {
-		return treeOp{t: t}, nil
-	}
-	op, err := t.pinvOperator()
-	if err != nil {
-		return nil, err
-	}
-	return pinvFullOp{t: t, op: op}, nil
-}
-
-// pinvFullOp adapts the pseudo-inverse operator (which consumes the reduced
-// database) to the full-histogram contract of DatabaseOperator.
-type pinvFullOp struct {
-	t  *Transform
-	op sparse.Operator
-}
-
-// Dims returns (|E|, K): like treeOp, the operator consumes full vertex
-// histograms.
-func (o pinvFullOp) Dims() (int, int) { return o.t.NumEdges(), o.t.Policy.K }
-
-// Apply writes x_G = P_G⁺ · x(reduced) into dst.
-func (o pinvFullOp) Apply(dst, x []float64) { o.op.Apply(dst, o.t.ReducedDatabase(x)) }
-
-// AddApply accumulates dst += P_G⁺ · x(reduced).
-func (o pinvFullOp) AddApply(dst, x []float64) { o.op.AddApply(dst, o.t.ReducedDatabase(x)) }
-
-// treeOp is the structure-aware tree reconstruction operator: Apply runs the
-// O(k) subtree-sum pass instead of a pinv·x matvec. Its column space is the
-// full vertex domain (the ⊥/alias reduction happens inside the pass).
-type treeOp struct{ t *Transform }
-
-// Dims returns (|E|, K): the operator consumes full vertex histograms.
-func (o treeOp) Dims() (int, int) { return o.t.NumEdges(), o.t.Policy.K }
-
-// Apply writes x_G into dst.
-func (o treeOp) Apply(dst, x []float64) { o.t.treeDatabaseTransformInto(dst, x) }
-
-// AddApply accumulates dst += x_G.
-func (o treeOp) AddApply(dst, x []float64) {
-	tmp := make([]float64, len(dst))
-	o.t.treeDatabaseTransformInto(tmp, x)
-	for i, v := range tmp {
-		dst[i] += v
-	}
-}
-
 // treeDatabaseTransformInto computes x_G for a tree policy into xg: the
 // value on each edge is ± the total count of the subtree hanging below it
 // (away from ⊥/alias), signed by the edge orientation. This solves

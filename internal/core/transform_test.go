@@ -498,44 +498,6 @@ func TestSparsePGMatchesDense(t *testing.T) {
 	}
 }
 
-func TestDatabaseOperatorMatchesDatabaseTransform(t *testing.T) {
-	rng := rand.New(rand.NewSource(41))
-	for _, p := range []*policy.Policy{
-		policy.Line(9),      // tree: structure-aware O(k) operator
-		policy.Unbounded(6), // star with bottom: still a tree
-		policy.Grid(3),      // cycle-bearing: pseudo-inverse operator
-	} {
-		tr, err := New(p)
-		if err != nil {
-			t.Fatal(err)
-		}
-		op, err := tr.DatabaseOperator()
-		if err != nil {
-			t.Fatal(err)
-		}
-		x := randomHistogram(rng, p.K)
-		want, err := tr.DatabaseTransform(x)
-		if err != nil {
-			t.Fatal(err)
-		}
-		rows, cols := op.Dims()
-		if rows != tr.NumEdges() {
-			t.Fatalf("%s: operator rows %d != edges %d", p.Name, rows, tr.NumEdges())
-		}
-		// Both branches consume the full K-length histogram.
-		if cols != p.K {
-			t.Fatalf("%s: operator cols %d != domain %d", p.Name, cols, p.K)
-		}
-		got := make([]float64, rows)
-		op.Apply(got, x)
-		for i := range got {
-			if math.Abs(got[i]-want[i]) > 1e-9 {
-				t.Fatalf("%s: operator[%d] = %g, DatabaseTransform %g", p.Name, i, got[i], want[i])
-			}
-		}
-	}
-}
-
 func TestSparseTransformWorkloadMatchesDense(t *testing.T) {
 	for _, p := range []*policy.Policy{policy.Line(8), policy.Grid(3), mustTheta(9, 3)} {
 		tr, err := New(p)

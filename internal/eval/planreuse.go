@@ -43,7 +43,7 @@ func PlanReuseExperiment(opts Options) (*Table, error) {
 			if err != nil {
 				return nil, err
 			}
-			alg := strategy.TreePolicy("blowfish(tree)", tr, 1, strategy.LaplaceEstimator, strategy.Config{})
+			alg := strategy.TreePolicy("blowfish(tree)", tr, 1, strategy.LaplaceEstimator)
 			return alg.Run(w, x, eps, s)
 		}))
 	if err != nil {
@@ -53,7 +53,7 @@ func PlanReuseExperiment(opts Options) (*Table, error) {
 	if err != nil {
 		return nil, err
 	}
-	prep, err := strategy.CompileTree("blowfish(tree)", tr, 1, strategy.LaplaceEstimator, w, strategy.Config{})
+	prep, err := strategy.CompileTree("blowfish(tree)", tr, 1, strategy.LaplaceEstimator, w)
 	if err != nil {
 		return nil, err
 	}

@@ -54,11 +54,11 @@ func SparseAnswerExperiment(opts Options) (*Table, error) {
 		if err != nil {
 			return nil, err
 		}
-		dense, err := strategy.CompileTreeDense("blowfish(tree)", tr, 1, strategy.LaplaceEstimator, w, strategy.Config{})
+		dense, err := strategy.CompileTreeDense("blowfish(tree)", tr, 1, strategy.LaplaceEstimator, w)
 		if err != nil {
 			return nil, err
 		}
-		sp, err := strategy.CompileTree("blowfish(tree)", tr, 1, strategy.LaplaceEstimator, w, strategy.Config{})
+		sp, err := strategy.CompileTree("blowfish(tree)", tr, 1, strategy.LaplaceEstimator, w)
 		if err != nil {
 			return nil, err
 		}

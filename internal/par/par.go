@@ -1,8 +1,10 @@
-// Package par provides the small worker-pool primitives shared by the
-// parallel linear-algebra kernels (internal/linalg) and the experiment
-// scheduler (internal/eval). Work is always partitioned deterministically by
-// index, so callers that pre-assign per-index state (noise streams, output
-// slots) get results independent of worker count and interleaving.
+// Package par provides the worker pool shared by every parallel layer: the
+// linear-algebra and sparse kernels, the experiment scheduler
+// (internal/eval), and the Engine's batch and grid-shard fan-outs. All fan-out
+// goes through Pool.Do and Pool.DoErr; Blocks partitions a range for the
+// blocked kernels. Work is always partitioned deterministically by index, so
+// callers that pre-assign per-index state (noise streams, output slots) get
+// results independent of worker count and interleaving.
 package par
 
 import (
@@ -20,68 +22,6 @@ func Workers(n int) int {
 	return n
 }
 
-// Do runs fn(i) for every i in [0, n) on up to `workers` goroutines. Indices
-// are handed out via an atomic counter, so the assignment of index to worker
-// is nondeterministic but every index runs exactly once. With workers <= 1 (or
-// n <= 1) it degenerates to a plain loop on the calling goroutine.
-func Do(workers, n int, fn func(i int)) {
-	workers = Workers(workers)
-	if workers > n {
-		workers = n
-	}
-	if workers <= 1 {
-		for i := 0; i < n; i++ {
-			fn(i)
-		}
-		return
-	}
-	var next atomic.Int64
-	var wg sync.WaitGroup
-	wg.Add(workers)
-	for w := 0; w < workers; w++ {
-		go func() {
-			defer wg.Done()
-			for {
-				i := int(next.Add(1)) - 1
-				if i >= n {
-					return
-				}
-				fn(i)
-			}
-		}()
-	}
-	wg.Wait()
-}
-
-// DoErr is Do for fallible work: once any worker has failed, remaining
-// indices are skipped, and the lowest-indexed error observed is returned
-// (nil when all indices succeed). With workers <= 1 that is always the first
-// failing index; with concurrent workers, which failures are observed before
-// the pool drains is scheduling-dependent, so callers must not rely on
-// *which* of several concurrent errors they get — only that they get one.
-func DoErr(workers, n int, fn func(i int) error) error {
-	var (
-		mu       sync.Mutex
-		firstIdx = n
-		firstErr error
-		failed   atomic.Bool
-	)
-	Do(workers, n, func(i int) {
-		if failed.Load() {
-			return
-		}
-		if err := fn(i); err != nil {
-			failed.Store(true)
-			mu.Lock()
-			if i < firstIdx {
-				firstIdx, firstErr = i, err
-			}
-			mu.Unlock()
-		}
-	})
-	return firstErr
-}
-
 // Pool is a process-wide goroutine budget shared by every parallel layer
 // (the eval experiment grid, the linalg kernels, the sparse kernels, batch
 // answering). Each Do call runs on the calling goroutine plus however many
@@ -93,9 +33,9 @@ func DoErr(workers, n int, fn func(i int) error) error {
 // therefore never exceed the pool size: grid×kernel fan-outs cannot multiply
 // on large hosts.
 //
-// Work is still partitioned deterministically by index, so the determinism
-// contract of Do is unchanged: callers that pre-assign per-index state get
-// results independent of how many helpers were actually available.
+// Work is still partitioned deterministically by index: callers that
+// pre-assign per-index state get results independent of how many helpers
+// were actually available.
 type Pool struct {
 	// tokens holds one slot per helper goroutine the pool may run beyond
 	// the callers themselves; capacity is size−1 so a pool of size n runs
@@ -127,7 +67,9 @@ func Shared() *Pool {
 
 // Do runs fn(i) for every i in [0, n) on the calling goroutine plus up to
 // workers−1 helpers reserved from the pool (workers < 1 means "up to the pool
-// size"). Helper reservation is non-blocking: if the pool is drained, the
+// size"). Indices are handed out via an atomic counter, so the assignment of
+// index to goroutine is nondeterministic but every index runs exactly once.
+// Helper reservation is non-blocking: if the pool is drained, the
 // call runs serially rather than deadlocking, which makes nested Do calls
 // (an experiment cell invoking a parallel kernel) safe by construction. A
 // nil pool runs serially.
@@ -184,9 +126,12 @@ reserve:
 	wg.Wait()
 }
 
-// DoErr is Pool.Do for fallible work, with the same error-selection contract
-// as the package-level DoErr: remaining indices are skipped after the first
-// observed failure, and the lowest-indexed error seen is returned.
+// DoErr is Pool.Do for fallible work: once any index has failed, remaining
+// indices are skipped, and the lowest-indexed error observed is returned
+// (nil when all indices succeed). Run serially that is always the first
+// failing index; with concurrent helpers, which failures are observed before
+// the pool drains is scheduling-dependent, so callers must not rely on
+// *which* of several concurrent errors they get — only that they get one.
 func (p *Pool) DoErr(workers, n int, fn func(i int) error) error {
 	var (
 		mu       sync.Mutex

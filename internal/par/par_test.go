@@ -7,13 +7,14 @@ import (
 )
 
 func TestDoCoversEveryIndexOnce(t *testing.T) {
-	for _, workers := range []int{0, 1, 2, 7, 64} {
+	for _, size := range []int{0, 1, 2, 7, 64} {
+		p := NewPool(size)
 		for _, n := range []int{0, 1, 5, 100} {
 			hits := make([]atomic.Int32, n)
-			Do(workers, n, func(i int) { hits[i].Add(1) })
+			p.Do(0, n, func(i int) { hits[i].Add(1) })
 			for i := range hits {
 				if got := hits[i].Load(); got != 1 {
-					t.Fatalf("workers=%d n=%d: index %d ran %d times", workers, n, i, got)
+					t.Fatalf("size=%d n=%d: index %d ran %d times", size, n, i, got)
 				}
 			}
 		}
@@ -24,7 +25,7 @@ func TestDoErrReturnsAnEncounteredError(t *testing.T) {
 	errA := errors.New("a")
 	errB := errors.New("b")
 	// Serial: deterministically the first failing index.
-	err := DoErr(1, 10, func(i int) error {
+	err := NewPool(1).DoErr(0, 10, func(i int) error {
 		switch i {
 		case 3:
 			return errA
@@ -37,7 +38,7 @@ func TestDoErrReturnsAnEncounteredError(t *testing.T) {
 		t.Fatalf("serial DoErr got %v, want first failing index's error", err)
 	}
 	// Concurrent: one of the injected errors, never something else, never nil.
-	err = DoErr(4, 10, func(i int) error {
+	err = NewPool(4).DoErr(0, 10, func(i int) error {
 		switch i {
 		case 3:
 			return errA
@@ -49,14 +50,14 @@ func TestDoErrReturnsAnEncounteredError(t *testing.T) {
 	if !errors.Is(err, errA) && !errors.Is(err, errB) {
 		t.Fatalf("concurrent DoErr got %v, want one of the injected errors", err)
 	}
-	if err := DoErr(4, 10, func(int) error { return nil }); err != nil {
+	if err := NewPool(4).DoErr(0, 10, func(int) error { return nil }); err != nil {
 		t.Fatalf("unexpected error %v", err)
 	}
 }
 
 func TestDoErrStopsAfterFailure(t *testing.T) {
 	var ran atomic.Int32
-	err := DoErr(1, 1000, func(i int) error {
+	err := NewPool(1).DoErr(0, 1000, func(i int) error {
 		ran.Add(1)
 		if i == 2 {
 			return errors.New("boom")

@@ -103,9 +103,10 @@ type Config struct {
 	// Seed seeds the daemon's root noise source; 0 derives a seed from the
 	// wall clock. Fixed seeds make serving deterministic for tests.
 	Seed int64
-	// Parallelism is passed through to every Engine the daemon opens (the
-	// width of its compile and kernel pool); <= 0 uses the process-wide
-	// shared pool.
+	// Parallelism is passed through to every Engine the daemon opens: the
+	// width of the pool its sharded grid compiles (query clipping, blocked
+	// table rebuilds) run on; <= 0 uses the process-wide shared pool.
+	// Kernels always run on the shared pool.
 	Parallelism int
 	// Logf, when non-nil, receives serving diagnostics (recovered panics
 	// with their stacks). cmd/blowfishd passes log.Printf.

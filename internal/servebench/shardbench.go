@@ -16,15 +16,9 @@ type ShardBenchOptions struct {
 	Seed int64
 	// GridSides are the side lengths of the side×side grid scenarios.
 	GridSides []int
-	// TreeDomains are the 1-D line-policy domain sizes for the compile rows.
-	TreeDomains []int
 	// Queries is the number of random range queries per grid workload.
 	Queries int
-	// TreeQueries is the number of random range queries per tree workload
-	// (the sharded tree compile parallelizes per-query support discovery, so
-	// the compile rows need enough queries to measure).
-	TreeQueries int
-	// Runs is the least number of timed answers and compiles per engine.
+	// Runs is the least number of timed answers per engine.
 	Runs int
 	// Deltas is the least number of single-cell stream deltas each grid
 	// scenario times per engine.
@@ -33,15 +27,13 @@ type ShardBenchOptions struct {
 
 // QuickShardBench returns test/CI-sized options.
 func QuickShardBench() ShardBenchOptions {
-	return ShardBenchOptions{Seed: 1, GridSides: []int{32, 64}, TreeDomains: []int{4096},
-		Queries: 200, TreeQueries: 400, Runs: 2, Deltas: 32}
+	return ShardBenchOptions{Seed: 1, GridSides: []int{32, 64}, Queries: 200, Runs: 2, Deltas: 32}
 }
 
 // DefaultShardBench returns the acceptance-scale options: the largest grid is
 // 1024×1024 — 1,048,576 cells, past the 10⁶-cell target.
 func DefaultShardBench() ShardBenchOptions {
-	return ShardBenchOptions{Seed: 1, GridSides: []int{512, 1024}, TreeDomains: []int{131072},
-		Queries: 500, TreeQueries: 4096, Runs: 3, Deltas: 64}
+	return ShardBenchOptions{Seed: 1, GridSides: []int{512, 1024}, Queries: 500, Runs: 3, Deltas: 64}
 }
 
 // ShardExperiment measures what EngineOptions.ShardBlock buys past the
@@ -54,12 +46,11 @@ func DefaultShardBench() ShardBenchOptions {
 //     slab's volume, where the global table pays the full suffix box (up to
 //     O(k)) or falls back to a dense rebuild — this row is the o(k)-per-delta
 //     property, and its speedup holds even on one CPU.
-//   - Tree compiles: per-query-block support discovery and row building fan
-//     out over the pool, concatenated into a byte-identical CSR.
 //
-// Every cell is a median from eval.SecondsPerCall. The untimed checks fail
-// the experiment past 1e-9: every answer against the monolithic answer at
-// its seed, every compile against the first serial one, and after the
+// Tree-policy strategies ignore ShardBlock (they compile in one serial
+// pass), so the experiment has no tree rows. Every cell is a median from
+// eval.SecondsPerCall. The untimed checks fail the experiment past 1e-9:
+// every answer against the monolithic answer at its seed, and after the
 // deltas each maintained state against a monolithic rebuild. On the integer
 // histograms used here the agreement is in fact exact.
 func ShardExperiment(o ShardBenchOptions) ([]*eval.Table, error) {
@@ -76,18 +67,7 @@ func ShardExperiment(o ShardBenchOptions) ([]*eval.Table, error) {
 			return nil, err
 		}
 	}
-	tree := &eval.Table{
-		Title: fmt.Sprintf("Domain sharding: tree compile, blocked vs serial construction (%d queries, %d runs)",
-			o.TreeQueries, o.Runs),
-		Metric:  "median seconds per compile / serial-vs-sharded speedup",
-		Columns: []string{"serial s/compile", "sharded s/compile", "compile speedup"},
-	}
-	for _, k := range o.TreeDomains {
-		if err := runTreeShardScenario(tree, k, o, src); err != nil {
-			return nil, err
-		}
-	}
-	return []*eval.Table{grid, tree}, nil
+	return []*eval.Table{grid}, nil
 }
 
 // runGridShardScenario times one side×side grid under both engines and
@@ -216,73 +196,5 @@ func runGridShardScenario(t *eval.Table, side int, o ShardBenchOptions, src *blo
 		monoSec, shardSec, monoSec / shardSec,
 		monoDeltaSec, shardDeltaSec, monoDeltaSec / shardDeltaSec,
 	})
-	return nil
-}
-
-// runTreeShardScenario times the tree strategy compile with construction
-// sharding (block = queries/8) against the serial build and appends a row.
-// Every compile must answer like the first serial one.
-func runTreeShardScenario(t *eval.Table, k int, o ShardBenchOptions, src *blowfish.Source) error {
-	label := fmt.Sprintf("tree k=%d", k)
-	block := max(o.TreeQueries/8, 1)
-	pol := blowfish.LinePolicy(k)
-	w := blowfish.RandomRanges1D(k, o.TreeQueries, src.Split())
-	warmup := blowfish.RandomRanges1D(k, 1, src.Split())
-	x := make([]float64, k)
-	data := src.Split()
-	for i := range x {
-		x[i] = math.Floor(data.Uniform() * 20)
-	}
-	var want []float64
-	// Each call times the strategy compile alone: its untimed setup opens a
-	// fresh engine (compiles are cached per engine) and warms the shared
-	// policy transform with a 1-query Prepare, so the timed Prepare measures
-	// only the per-query support discovery and CSR construction being
-	// sharded.
-	compile := func(engine string, shardBlock int) eval.Timed {
-		var eng *blowfish.Engine
-		var pl *blowfish.Plan
-		fail := func(i int, err error) error {
-			return fmt.Errorf("eval: shard bench %s %s compile %d: %w", label, engine, i, err)
-		}
-		return eval.Timed{
-			Setup: func(i int) (err error) {
-				if eng, err = blowfish.Open(pol, blowfish.EngineOptions{ShardBlock: shardBlock}); err == nil {
-					_, err = eng.Prepare(warmup, blowfish.Options{})
-				}
-				if err != nil {
-					return fail(i, err)
-				}
-				return nil
-			},
-			Run: func(i int) (err error) {
-				if pl, err = eng.Prepare(w, blowfish.Options{}); err != nil {
-					return fail(i, err)
-				}
-				return nil
-			},
-			Check: func(i int) error {
-				got, err := pl.AnswerWith(context.Background(), nil, x, 0.5, blowfish.NewSource(o.Seed))
-				if err != nil {
-					return fail(i, err)
-				}
-				if want == nil {
-					want = got
-					return nil
-				}
-				return eval.Within(fmt.Sprintf("shard bench %s %s compile %d vs serial", label, engine, i), got, want, 1e-9)
-			},
-		}
-	}
-	serialSec, err := eval.SecondsPerCall(o.Runs, compile("serial", -1))
-	if err != nil {
-		return err
-	}
-	shardSec, err := eval.SecondsPerCall(o.Runs, compile("sharded", block))
-	if err != nil {
-		return err
-	}
-	t.Rows = append(t.Rows, label)
-	t.Cells = append(t.Cells, []float64{serialSec, shardSec, serialSec / shardSec})
 	return nil
 }

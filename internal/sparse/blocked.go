@@ -1,13 +1,9 @@
 package sparse
 
-import (
-	"fmt"
+import "github.com/privacylab/blowfish/internal/par"
 
-	"github.com/privacylab/blowfish/internal/par"
-)
-
-// DefaultShardCells is the domain size above which the engine shards
-// strategy compiles and summed-area tables along contiguous cell blocks.
+// DefaultShardCells is the domain size above which the engine shards grid
+// compiles and their summed-area tables along contiguous cell blocks.
 // Below it a single table over the whole domain wins: the per-block
 // dispatch and partial sums cost more than they save, and every pre-sharding golden test
 // (largest domain 128² = 16384 cells) stays on the byte-identical monolithic
@@ -46,35 +42,4 @@ func ShardBlocks(cells, align, maxCells int) []par.Block {
 		blocks = []par.Block{{Lo: 0, Hi: cells}}
 	}
 	return blocks
-}
-
-// ConcatRows stacks row-block CSR matrices vertically. Every part must
-// share the column count; entries keep their per-row stored order, so a
-// matrix built serially and one built as per-block parts by the same
-// row-visiting code concatenate to byte-identical CSR arrays — the property
-// the sharded tree compile relies on for bitwise-identical reconstruction.
-func ConcatRows(parts []*CSR) (*CSR, error) {
-	if len(parts) == 0 {
-		return nil, fmt.Errorf("sparse: ConcatRows needs at least one part")
-	}
-	rows, nnz := 0, 0
-	for i, p := range parts {
-		if p.Cols != parts[0].Cols {
-			return nil, fmt.Errorf("sparse: ConcatRows part %d has %d cols, want %d", i, p.Cols, parts[0].Cols)
-		}
-		rows += p.Rows
-		nnz += p.NNZ()
-	}
-	m := &CSR{Rows: rows, Cols: parts[0].Cols,
-		RowPtr: make([]int, 1, rows+1),
-		ColIdx: make([]int, 0, nnz), Val: make([]float64, 0, nnz)}
-	for _, p := range parts {
-		base := len(m.ColIdx)
-		for _, ptr := range p.RowPtr[1:] {
-			m.RowPtr = append(m.RowPtr, base+ptr)
-		}
-		m.ColIdx = append(m.ColIdx, p.ColIdx...)
-		m.Val = append(m.Val, p.Val...)
-	}
-	return m, nil
 }

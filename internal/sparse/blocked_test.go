@@ -54,54 +54,6 @@ func TestShardBlocks(t *testing.T) {
 	}
 }
 
-// TestConcatRows checks a serially built CSR and the concatenation of its
-// row blocks are byte-identical — the property the sharded tree compile
-// rides for bitwise-identical reconstruction.
-func TestConcatRows(t *testing.T) {
-	rows, cols := 37, 19
-	fill := func(b *sparse.Builder, lo, hi int) {
-		s := noise.NewSource(3) // same entry stream regardless of blocking
-		for i := 0; i < rows; i++ {
-			for j := 0; j < cols; j++ {
-				if s.Uniform() < 0.3 {
-					v := s.Uniform()*2 - 1
-					if i >= lo && i < hi {
-						b.Add(i-lo, j, v)
-					}
-				}
-			}
-		}
-	}
-	whole := sparse.NewBuilder(rows, cols)
-	fill(whole, 0, rows)
-	want := whole.Build()
-
-	var parts []*sparse.CSR
-	for _, b := range sparse.ShardBlocks(rows, 1, 10) {
-		pb := sparse.NewBuilder(b.Hi-b.Lo, cols)
-		fill(pb, b.Lo, b.Hi)
-		parts = append(parts, pb.Build())
-	}
-	got, err := sparse.ConcatRows(parts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(got.RowPtr, want.RowPtr) || !reflect.DeepEqual(got.ColIdx, want.ColIdx) {
-		t.Fatal("ConcatRows: structure differs from serial build")
-	}
-	for i := range want.Val {
-		if math.Float64bits(got.Val[i]) != math.Float64bits(want.Val[i]) {
-			t.Fatalf("ConcatRows: Val[%d] = %v, want %v (bitwise)", i, got.Val[i], want.Val[i])
-		}
-	}
-	if _, err := sparse.ConcatRows(nil); err == nil {
-		t.Fatal("want error for empty parts")
-	}
-	if _, err := sparse.ConcatRows([]*sparse.CSR{want, sparse.NewBuilder(1, cols+1).Build()}); err == nil {
-		t.Fatal("want error for column mismatch")
-	}
-}
-
 // TestSATStateBlocked checks the blocked table layout: per-slab tables equal
 // workload.SummedAreaTable over each slab's sub-grid bitwise, PointAdd stays
 // within the owning slab and agrees with a recompute, and PointAddCost is

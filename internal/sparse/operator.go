@@ -82,8 +82,3 @@ func denseAddApplyRows(m *linalg.Matrix, dst, x []float64, lo, hi int) {
 		dst[i] = s
 	}
 }
-
-// Structure-aware Operator implementations — reconstructions applied in
-// closed form without materializing any matrix — live next to the structure
-// they exploit, e.g. core.Transform.DatabaseOperator (O(k) subtree sums for
-// tree policies).

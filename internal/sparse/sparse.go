@@ -9,17 +9,16 @@
 // run in O(nnz), partition by output rows over the shared internal/par pool,
 // and keep the per-entry accumulation order of their dense counterparts so
 // results agree bitwise wherever the dense path performs the same float
-// operations. Operators that know a closed form (subtree sums, summed-area
-// tables, Lanczos matvec sources in spectral.go) implement Operator directly
-// and never materialize a matrix.
+// operations. Operators that know a closed form (the Lanczos matvec sources
+// in spectral.go and internal/lowerbound) implement Operator directly and
+// never materialize a matrix.
 //
 // Two pieces serve domains past ~10⁶ cells:
 //
-//   - ShardBlocks/ConcatRows partition a domain (or a query list) into
-//     contiguous blocks and reassemble per-block CSR shards into one
-//     byte-identical matrix, which is how strategy compiles fan per-block
-//     work items out over the pool. DefaultShardCells is the auto-shard
-//     threshold the compile layer consults.
+//   - ShardBlocks partitions a grid domain into contiguous blocks of whole
+//     dim-0 slices, which is how grid compiles fan per-slab work items out
+//     over the pool. DefaultShardCells is the auto-shard threshold the
+//     compile layer consults.
 //   - SATState maintains summed-area/prefix tables for the range
 //     strategies' releases and streams; NewSATStateBlocked keeps one table
 //     per row-slab, rebuilt in parallel, so a point delta patches at most

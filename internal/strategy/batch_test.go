@@ -18,7 +18,7 @@ func compileLine(t *testing.T, k int, w *workload.Workload) *Prepared {
 	if err != nil {
 		t.Fatal(err)
 	}
-	p, err := CompileTree("blowfish(tree)", tr, 1, LaplaceEstimator, w, Config{})
+	p, err := CompileTree("blowfish(tree)", tr, 1, LaplaceEstimator, w)
 	if err != nil {
 		t.Fatal(err)
 	}

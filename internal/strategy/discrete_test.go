@@ -19,7 +19,7 @@ func TestGeometricEstimatorIntegerReleases(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	alg := TreePolicy("geometric", tr, 1, GeometricEstimator, Config{})
+	alg := TreePolicy("geometric", tr, 1, GeometricEstimator)
 	rng := rand.New(rand.NewSource(1))
 	x := randomX(rng, k)
 	got, err := alg.Run(workload.Identity(k), x, 0.5, noise.NewSource(2))
@@ -74,8 +74,8 @@ func TestGeometricErrorComparableToLaplace(t *testing.T) {
 	}
 	x := make([]float64, k)
 	w := workload.RandomRanges1D(k, 300, noise.NewSource(5))
-	geo := measureMSE(t, TreePolicy("geo", tr, 1, GeometricEstimator, Config{}), w, x, 0.5, 40, 6)
-	lap := measureMSE(t, TreePolicy("lap", tr, 1, LaplaceEstimator, Config{}), w, x, 0.5, 40, 7)
+	geo := measureMSE(t, TreePolicy("geo", tr, 1, GeometricEstimator), w, x, 0.5, 40, 6)
+	lap := measureMSE(t, TreePolicy("lap", tr, 1, LaplaceEstimator), w, x, 0.5, 40, 7)
 	if geo > 1.5*lap {
 		t.Fatalf("geometric error %g too far above Laplace %g", geo, lap)
 	}

@@ -258,8 +258,8 @@ func TestSpannerAccountingBudget(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	withAccounting := TreePolicy("acct", tr, sp.Stretch, LaplaceEstimator, Config{})
-	without := TreePolicy("plain", tr, 1, LaplaceEstimator, Config{})
+	withAccounting := TreePolicy("acct", tr, sp.Stretch, LaplaceEstimator)
+	without := TreePolicy("plain", tr, 1, LaplaceEstimator)
 	x := make([]float64, k)
 	w := workload.RandomRanges1D(k, 300, noise.NewSource(5))
 	eps := 1.0

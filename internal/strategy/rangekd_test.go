@@ -218,7 +218,7 @@ func TestGaussianEstimatorOnTreePolicy(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	alg := TreePolicy("gauss", tr, 1, GaussianEstimator(1e-5), Config{})
+	alg := TreePolicy("gauss", tr, 1, GaussianEstimator(1e-5))
 	x := make([]float64, k)
 	w := workload.Identity(k)
 	// Each histogram cell is the difference of two x_G coordinates:

@@ -17,38 +17,32 @@ import (
 // clipped-rectangle partials in ascending slab order — one path for static
 // and streamed releases, so they stay bitwise identical.
 //
-// Tree compiles shard differently: their reconstruction is a CSR whose rows
-// accumulate in support-discovery order, so reassociating columns would
-// perturb the float chain. Past the same threshold the compile instead
-// shards the *construction* — per-query-block support discovery and row
-// building on the pool, concatenated into a byte-identical CSR — which
-// parallelizes the expensive part (compile) while the operator, and thus
-// every answer, stays bitwise identical to the serial build at any block
-// size and worker count.
+// Tree compiles do not shard: their reconstruction is a CSR built in one
+// serial pass whose rows accumulate in support-discovery order, so they
+// take no Config.
 //
 // The oracle noise pass is never sharded: oracles draw from one
 // noise.Source serially, and that draw order is the contract that keeps
 // sharded, unsharded, streamed, and batched releases interchangeable.
 
-// Config carries the sharding knobs every compile accepts.
+// Config carries the sharding knobs every grid compile accepts.
 //
-// MaxBlockCells = 0 is automatic: domains (or, for tree compiles, query
-// counts) above sparse.DefaultShardCells shard into blocks of that size,
-// everything below stays on the monolithic path — so every pre-sharding
-// domain compiles exactly as before. MaxBlockCells < 0 disables sharding
-// outright. MaxBlockCells >= 1 forces blocks of at most that many cells
-// (grids round it to whole dim-0 slices; a single slice larger than the cap
-// becomes one block on its own).
+// MaxBlockCells = 0 is automatic: domains above sparse.DefaultShardCells
+// shard into blocks of that size, everything below stays on the monolithic
+// path — so every pre-sharding domain compiles exactly as before.
+// MaxBlockCells < 0 disables sharding outright. MaxBlockCells >= 1 forces
+// blocks of at most that many cells, rounded to whole dim-0 slices (a
+// single slice larger than the cap becomes one block on its own).
 //
-// Pool is where per-block compile work items and blocked table rebuilds
-// fan out; nil means par.Shared().
+// Pool is where query clipping and blocked table rebuilds fan out; nil
+// means par.Shared().
 type Config struct {
 	MaxBlockCells int
 	Pool          *par.Pool
 }
 
-// blockCells resolves the block size for a domain (or query set) of size n:
-// 0 means "do not shard".
+// blockCells resolves the block size for a domain of n cells: 0 means "do
+// not shard".
 func (c Config) blockCells(n int) int {
 	switch {
 	case c.MaxBlockCells < 0:

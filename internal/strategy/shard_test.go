@@ -2,7 +2,6 @@ package strategy
 
 import (
 	"math"
-	"reflect"
 	"testing"
 
 	"github.com/privacylab/blowfish/internal/mech"
@@ -125,51 +124,6 @@ func TestAutoShardThreshold(t *testing.T) {
 	if newGridShard(dims, rects, Config{}) != nil {
 		t.Fatalf("%d-cell domain sharded under automatic config; threshold is %d",
 			16*16, sparse.DefaultShardCells)
-	}
-}
-
-// TestTreeShardedCSRByteIdentical checks the construction-sharded tree
-// compile: the per-block-built, concatenated CSR must be byte-identical to
-// the serial build, so answers are bitwise identical at any block size.
-func TestTreeShardedCSRByteIdentical(t *testing.T) {
-	const k = 256
-	tr := lineTransform(t, k)
-	w := workload.RandomRanges1D(k, 200, noise.NewSource(77))
-	mono, err := CompileTree("tree", tr, 1, LaplaceEstimator, w, Config{MaxBlockCells: -1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	monoCSR, ok := mono.Operator().(*sparse.CSR)
-	if !ok {
-		t.Fatalf("monolithic operator is %T, want *sparse.CSR", mono.Operator())
-	}
-	for _, blockQueries := range []int{1, 16, 50, 200} {
-		shard, err := CompileTree("tree", tr, 1, LaplaceEstimator, w, Config{MaxBlockCells: blockQueries})
-		if err != nil {
-			t.Fatal(err)
-		}
-		csr, ok := shard.Operator().(*sparse.CSR)
-		if !ok {
-			t.Fatalf("block=%d: sharded operator is %T, want *sparse.CSR", blockQueries, shard.Operator())
-		}
-		if !reflect.DeepEqual(csr.RowPtr, monoCSR.RowPtr) || !reflect.DeepEqual(csr.ColIdx, monoCSR.ColIdx) {
-			t.Fatalf("block=%d: sharded CSR structure differs from serial build", blockQueries)
-		}
-		for i := range monoCSR.Val {
-			if math.Float64bits(csr.Val[i]) != math.Float64bits(monoCSR.Val[i]) {
-				t.Fatalf("block=%d: Val[%d] differs (bitwise)", blockQueries, i)
-			}
-		}
-		x := rampHistogram(k)
-		got, err := shard.Answer(x, 0.3, noise.NewSource(9))
-		if err != nil {
-			t.Fatal(err)
-		}
-		want, err := mono.Answer(x, 0.3, noise.NewSource(9))
-		if err != nil {
-			t.Fatal(err)
-		}
-		bitwiseEqual(t, "tree", got, want)
 	}
 }
 

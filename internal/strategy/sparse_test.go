@@ -54,11 +54,11 @@ func TestTreeSparseVsDenseEquivalence(t *testing.T) {
 	tr := lineTransform(t, k)
 	w := workload.RandomRanges1D(k, 300, noise.NewSource(99))
 	x := rampHistogram(k)
-	sp, err := CompileTree("tree", tr, 1, LaplaceEstimator, w, Config{})
+	sp, err := CompileTree("tree", tr, 1, LaplaceEstimator, w)
 	if err != nil {
 		t.Fatal(err)
 	}
-	dn, err := CompileTreeDense("tree", tr, 1, LaplaceEstimator, w, Config{})
+	dn, err := CompileTreeDense("tree", tr, 1, LaplaceEstimator, w)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -97,11 +97,11 @@ func TestThetaSpannerSparseVsDenseEquivalence(t *testing.T) {
 	}
 	w := workload.RandomRanges1D(k, 200, noise.NewSource(98))
 	x := rampHistogram(k)
-	a, err := CompileTree("theta", tr, sp.Stretch, LaplaceEstimator, w, Config{})
+	a, err := CompileTree("theta", tr, sp.Stretch, LaplaceEstimator, w)
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := CompileTreeDense("theta", tr, sp.Stretch, LaplaceEstimator, w, Config{})
+	b, err := CompileTreeDense("theta", tr, sp.Stretch, LaplaceEstimator, w)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -123,7 +123,7 @@ func TestSmallDomainAutoPickGoesDense(t *testing.T) {
 	// edge columns, so the density rule must keep the dense representation.
 	tr := lineTransform(t, 8)
 	w := workload.Identity(8)
-	prep, err := CompileTree("tree", tr, 1, LaplaceEstimator, w, Config{})
+	prep, err := CompileTree("tree", tr, 1, LaplaceEstimator, w)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -141,7 +141,7 @@ func TestConcurrentAnswerSharedPlan(t *testing.T) {
 	tr := lineTransform(t, k)
 	w := workload.RandomRanges1D(k, 150, noise.NewSource(97))
 	x := rampHistogram(k)
-	prep, err := CompileTree("tree", tr, 1, LaplaceEstimator, w, Config{})
+	prep, err := CompileTree("tree", tr, 1, LaplaceEstimator, w)
 	if err != nil {
 		t.Fatal(err)
 	}

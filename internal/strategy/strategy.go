@@ -15,14 +15,15 @@
 // sensitivity calibration, query-shape checks, reconstruction operators —
 // and returns a Prepared whose Answer is the noise-and-reconstruct hot
 // path. Algorithm.Run is only Prepare followed by one Answer. Config carries
-// the compile-time knobs: MaxBlockCells shards the compile along contiguous
-// domain blocks (query blocks for tree policies) over the shared par.Pool;
-// a sharded grid reads one blocked summed-area table whose fixed-order slab
-// sums keep sharded output within 1e-9 of the monolithic compile (bitwise
-// on integer histograms); 0 shards automatically past
-// sparse.DefaultShardCells, < 0 disables. The noise pass is never sharded —
-// draws stay serial from one noise.Source, so sharded and unsharded
-// releases consume identical noise streams.
+// the grid compiles' sharding knobs: MaxBlockCells shards a grid along
+// contiguous dim-0 domain blocks over the shared par.Pool, and a sharded
+// grid reads one blocked summed-area table whose fixed-order slab sums keep
+// sharded output within 1e-9 of the monolithic compile (bitwise on integer
+// histograms); 0 shards automatically past sparse.DefaultShardCells, < 0
+// disables. Tree compiles take no Config: they build their reconstruction
+// in one serial pass. The noise pass is never sharded — draws stay serial
+// from one noise.Source, so sharded and unsharded releases consume
+// identical noise streams.
 //
 // stream.go is the incremental side: every tree and summed-area strategy
 // has a maintained state (the tree transform x_G, or a sparse.SATState)
@@ -38,7 +39,6 @@ import (
 	"github.com/privacylab/blowfish/internal/core"
 	"github.com/privacylab/blowfish/internal/mech"
 	"github.com/privacylab/blowfish/internal/noise"
-	"github.com/privacylab/blowfish/internal/par"
 	"github.com/privacylab/blowfish/internal/policy"
 	"github.com/privacylab/blowfish/internal/sparse"
 	"github.com/privacylab/blowfish/internal/workload"
@@ -104,9 +104,9 @@ func DawaConsistentEstimator(xg []float64, eps float64, src *noise.Source) []flo
 // given DP estimator at budget eps/stretch (Lemma 4.5 accounting; stretch is
 // 1 when the tree is the policy itself), and evaluate each transformed query
 // against the estimate plus the Lemma 4.10 constant correction.
-func TreePolicy(name string, tr *core.Transform, stretch int, est Estimator, cfg Config) Algorithm {
+func TreePolicy(name string, tr *core.Transform, stretch int, est Estimator) Algorithm {
 	return Algorithm{Name: name, Prepare: func(w *workload.Workload) (*Prepared, error) {
-		return CompileTree(name, tr, stretch, est, w, cfg)
+		return CompileTree(name, tr, stretch, est, w)
 	}}
 }
 
@@ -115,13 +115,11 @@ func TreePolicy(name string, tr *core.Transform, stretch int, est Estimator, cfg
 // the hot path is only x_G (O(k) over the memoized layout), one estimator
 // call, and an O(nnz) operator application. The reconstruction matrix (one
 // row per query, one column per edge, entries in support-discovery order, a
-// fixed float accumulation order the answer golden pins) is kept as CSR when
-// its density is below sparse.DefaultMaxDensity and materialized dense
-// otherwise. Past the cfg sharding threshold the rows are built as
-// per-query-block compile work items on the pool and concatenated — a
-// byte-identical CSR, so answers never depend on the block size.
-func CompileTree(name string, tr *core.Transform, stretch int, est Estimator, w *workload.Workload, cfg Config) (*Prepared, error) {
-	return compileTree(name, tr, stretch, est, w, cfg, func(c *sparse.CSR) sparse.Operator {
+// fixed float accumulation order the answer golden pins) is built in one
+// serial pass and kept as CSR when its density is below
+// sparse.DefaultMaxDensity, materialized dense otherwise.
+func CompileTree(name string, tr *core.Transform, stretch int, est Estimator, w *workload.Workload) (*Prepared, error) {
+	return compileTree(name, tr, stretch, est, w, func(c *sparse.CSR) sparse.Operator {
 		if c.Density() < sparse.DefaultMaxDensity {
 			return c
 		}
@@ -132,13 +130,13 @@ func CompileTree(name string, tr *core.Transform, stretch int, est Estimator, w 
 // CompileTreeDense compiles the same strategy but forces the dense
 // reconstruction operator — the pre-sparse hot path, kept as the comparison
 // baseline for the sparse-vs-dense equivalence suite and benchmarks.
-func CompileTreeDense(name string, tr *core.Transform, stretch int, est Estimator, w *workload.Workload, cfg Config) (*Prepared, error) {
-	return compileTree(name, tr, stretch, est, w, cfg, func(c *sparse.CSR) sparse.Operator {
+func CompileTreeDense(name string, tr *core.Transform, stretch int, est Estimator, w *workload.Workload) (*Prepared, error) {
+	return compileTree(name, tr, stretch, est, w, func(c *sparse.CSR) sparse.Operator {
 		return sparse.Dense{M: c.ToDense()}
 	})
 }
 
-func compileTree(name string, tr *core.Transform, stretch int, est Estimator, w *workload.Workload, cfg Config, pick func(*sparse.CSR) sparse.Operator) (*Prepared, error) {
+func compileTree(name string, tr *core.Transform, stretch int, est Estimator, w *workload.Workload, pick func(*sparse.CSR) sparse.Operator) (*Prepared, error) {
 	if !tr.IsTree() {
 		return nil, fmt.Errorf("strategy: %s: policy %q is not a tree", name, tr.Policy.Name)
 	}
@@ -153,42 +151,19 @@ func compileTree(name string, tr *core.Transform, stretch int, est Estimator, w 
 	if tr.Alias >= 0 {
 		aliasCoeffs = make([]float64, w.Len())
 	}
-	// buildRows fills one contiguous query block's reconstruction rows and
-	// alias coefficients. Support discovery is deterministic per query, so
-	// per-block builds visit exactly the entries the serial build would; each
-	// block clones the shared index so discovery scratch is never contended.
-	baseSup := newSupportIndex(tr)
-	buildRows := func(b par.Block) *sparse.CSR {
-		sup := baseSup.clone()
-		rb := sparse.NewBuilder(b.Hi-b.Lo, len(edges))
-		for i := b.Lo; i < b.Hi; i++ {
-			q := w.Queries[i]
-			if aliasCoeffs != nil {
-				aliasCoeffs[i] = q.Coeff(tr.Alias)
-			}
-			for _, j := range sup.edges(q) {
-				if c := tr.QueryCoeffOnEdge(q, edges[j]); c != 0 {
-					rb.Add(i-b.Lo, j, c)
-				}
+	sup := newSupportIndex(tr)
+	rb := sparse.NewBuilder(w.Len(), len(edges))
+	for i, q := range w.Queries {
+		if aliasCoeffs != nil {
+			aliasCoeffs[i] = q.Coeff(tr.Alias)
+		}
+		for _, j := range sup.edges(q) {
+			if c := tr.QueryCoeffOnEdge(q, edges[j]); c != 0 {
+				rb.Add(i, j, c)
 			}
 		}
-		return rb.Build()
 	}
-	var csr *sparse.CSR
-	if blockQueries := cfg.blockCells(w.Len()); blockQueries > 0 && w.Len() > blockQueries {
-		blocks := sparse.ShardBlocks(w.Len(), 1, blockQueries)
-		parts := make([]*sparse.CSR, len(blocks))
-		cfg.pool().Do(par.Workers(0), len(blocks), func(i int) {
-			parts[i] = buildRows(blocks[i])
-		})
-		var err error
-		if csr, err = sparse.ConcatRows(parts); err != nil {
-			return nil, fmt.Errorf("strategy: %s: %w", name, err)
-		}
-	} else {
-		csr = buildRows(par.Block{Lo: 0, Hi: w.Len()})
-	}
-	recon := pick(csr)
+	recon := pick(rb.Build())
 	queries := w.Len()
 	return maintainedPrepared(name, w, recon, func(x []float64) (maintained, error) {
 		ts := &treeState{tr: tr, stretch: stretch, est: est, aliasCoeffs: aliasCoeffs,
@@ -236,22 +211,6 @@ func newSupportIndex(tr *core.Transform) *supportIndex {
 		s.all[i] = i
 	}
 	return s
-}
-
-// clone returns an independent discovery cursor over the same immutable
-// index: the incident lists are shared read-only, while the stamp/scratch
-// state each concurrent per-block compile mutates is private. Cloning is
-// O(|E|) (one stamp fill) against the O(|V|+|E|) adjacency build, which is
-// what keeps the sharded tree compile's per-block overhead small.
-func (s *supportIndex) clone() *supportIndex {
-	c := &supportIndex{tr: s.tr, all: s.all, incident: s.incident, theta: s.theta}
-	if s.stamp != nil {
-		c.stamp = make([]int, len(s.stamp))
-		for i := range c.stamp {
-			c.stamp[i] = -1
-		}
-	}
-	return c
 }
 
 // edges returns candidate edge indices for q (a superset of the support).
@@ -320,9 +279,9 @@ func LinePolicyAlgorithms(k int) ([]Algorithm, error) {
 		return nil, err
 	}
 	return []Algorithm{
-		TreePolicy("Transformed + Laplace", tr, 1, LaplaceEstimator, Config{}),
-		TreePolicy("Transformed + ConsistentEst", tr, 1, ConsistentLaplaceEstimator, Config{}),
-		TreePolicy("Trans + Dawa + Cons", tr, 1, DawaConsistentEstimator, Config{}),
+		TreePolicy("Transformed + Laplace", tr, 1, LaplaceEstimator),
+		TreePolicy("Transformed + ConsistentEst", tr, 1, ConsistentLaplaceEstimator),
+		TreePolicy("Trans + Dawa + Cons", tr, 1, DawaConsistentEstimator),
 	}, nil
 }
 
@@ -340,8 +299,8 @@ func ThetaLineAlgorithms(k, theta int) ([]Algorithm, error) {
 		return nil, err
 	}
 	return []Algorithm{
-		TreePolicy("Transformed + Laplace", tr, sp.Stretch, LaplaceEstimator, Config{}),
-		TreePolicy("Trans + Dawa", tr, sp.Stretch, DawaEstimator, Config{}),
+		TreePolicy("Transformed + Laplace", tr, sp.Stretch, LaplaceEstimator),
+		TreePolicy("Trans + Dawa", tr, sp.Stretch, DawaEstimator),
 	}, nil
 }
 

@@ -200,7 +200,7 @@ func TestTreePolicyRejectsNonTree(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	alg := TreePolicy("bad", tr, 1, LaplaceEstimator, Config{})
+	alg := TreePolicy("bad", tr, 1, LaplaceEstimator)
 	if _, err := alg.Run(workload.Identity(9), make([]float64, 9), 1, noise.NewSource(1)); err == nil {
 		t.Fatal("non-tree policy accepted by TreePolicy")
 	}
@@ -211,7 +211,7 @@ func TestTreePolicyDomainMismatch(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	alg := TreePolicy("line", tr, 1, LaplaceEstimator, Config{})
+	alg := TreePolicy("line", tr, 1, LaplaceEstimator)
 	if _, err := alg.Run(workload.Identity(9), make([]float64, 8), 1, noise.NewSource(1)); err == nil {
 		t.Fatal("domain mismatch accepted")
 	}

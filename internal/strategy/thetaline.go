@@ -164,8 +164,8 @@ func ThetaLineGrouped(k, theta int, kind mech.OracleKind) Algorithm {
 			}
 		}
 		// The 1-D prefix table is the dims = {k} summed-area table. This
-		// strategy stays unsharded — θ-line domains route through the tree
-		// compile past the sharding threshold (see engine dispatch).
+		// strategy takes no Config and stays unsharded; the Engine never
+		// routes to it (θ-line policies take the tree compile).
 		return satPrepared(name, w, []int{w.K}, 0, nil, evalRanges(ranges), noiseInto), nil
 	}}
 }

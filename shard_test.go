@@ -17,10 +17,27 @@ import (
 
 // TestEngineShardBlockMatchesUnsharded opens the same policy with sharding
 // forced at several block sizes and disabled, and checks plans and streams
-// answer bitwise identically on integer data, noise included.
+// answer bitwise identically on integer data, noise included. The grid case
+// shards its summed-area tables; the line case pins that tree strategies
+// ignore ShardBlock, including blocks smaller than the query count.
 func TestEngineShardBlockMatchesUnsharded(t *testing.T) {
-	p := GridPolicy(9) // 81 cells, far below the automatic threshold
-	w := RandomRangesKd([]int{9, 9}, 50, NewSource(61))
+	for _, tc := range []struct {
+		name   string
+		p      *Policy
+		w      *Workload
+		blocks []int
+	}{
+		// 81 cells, far below the automatic threshold.
+		{"grid", GridPolicy(9), RandomRangesKd([]int{9, 9}, 50, NewSource(61)), []int{1, 9, 27, 40}},
+		{"line", LinePolicy(64), RandomRanges1D(64, 40, NewSource(62)), []int{0, 1, 16}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			checkShardBlocksMatchUnsharded(t, tc.p, tc.w, tc.blocks)
+		})
+	}
+}
+
+func checkShardBlocksMatchUnsharded(t *testing.T, p *Policy, w *Workload, blocks []int) {
 	base, err := Open(p, EngineOptions{ShardBlock: -1})
 	if err != nil {
 		t.Fatal(err)
@@ -34,7 +51,7 @@ func TestEngineShardBlockMatchesUnsharded(t *testing.T) {
 		x[i] = float64((i*5)%17 + i%2)
 	}
 	ctx := context.Background()
-	for _, block := range []int{1, 9, 27, 40} {
+	for _, block := range blocks {
 		eng, err := Open(p, EngineOptions{ShardBlock: block})
 		if err != nil {
 			t.Fatalf("ShardBlock=%d: %v", block, err)
@@ -59,8 +76,9 @@ func TestEngineShardBlockMatchesUnsharded(t *testing.T) {
 				}
 			}
 		}
-		// A stream on the sharded plan patches integer deltas through the
-		// blocked per-slab tables and must track the unsharded plan exactly.
+		// A stream on the sharded plan patches integer deltas (through the
+		// blocked per-slab tables on a grid) and must track the unsharded
+		// plan exactly.
 		st, err := eng.OpenStream(pl, x, StreamOptions{})
 		if err != nil {
 			t.Fatal(err)
